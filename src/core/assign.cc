@@ -22,29 +22,25 @@ SrrAssigner::nextSubcore()
     return sub;
 }
 
+template <class Ar>
 void
-RoundRobinAssigner::saveState(StateWriter &w) const
+RoundRobinAssigner::state(Ar &ar)
 {
-    w.u64("assign.w", w_);
+    ar.u64("assign.w", w_);
 }
 
+template void RoundRobinAssigner::state(StateWriter &);
+template void RoundRobinAssigner::state(StateReader &);
+
+template <class Ar>
 void
-RoundRobinAssigner::loadState(StateReader &r)
+SrrAssigner::state(Ar &ar)
 {
-    w_ = r.u64("assign.w");
+    ar.u64("assign.w", w_);
 }
 
-void
-SrrAssigner::saveState(StateWriter &w) const
-{
-    w.u64("assign.w", w_);
-}
-
-void
-SrrAssigner::loadState(StateReader &r)
-{
-    w_ = r.u64("assign.w");
-}
+template void SrrAssigner::state(StateWriter &);
+template void SrrAssigner::state(StateReader &);
 
 ShuffleAssigner::ShuffleAssigner(int numSubcores, std::uint64_t seed)
     : SubcoreAssigner(numSubcores), seed_(seed), rng_(seed)
@@ -76,32 +72,27 @@ ShuffleAssigner::reset()
     refill();
 }
 
+template <class Ar>
 void
-ShuffleAssigner::saveState(StateWriter &w) const
+ShuffleAssigner::state(Ar &ar)
 {
     Rng::State st = rng_.state();
-    for (std::uint64_t word : st.s)
-        w.u64("assign.rng", word);
-    for (int p : perm_)
-        w.i64("assign.perm", p);
-    w.u64("assign.pos", pos_);
+    for (std::uint64_t &word : st.s)
+        ar.u64("assign.rng", word);
+    // perm_ always holds n_ entries (refill() sizes it at construction).
+    for (int &p : perm_)
+        ar.i64("assign.perm", p);
+    ar.u64("assign.pos", pos_);
+    if constexpr (Ar::kLoading) {
+        rng_.setState(st);
+        if (pos_ > perm_.size())
+            scsim_throw(CacheError,
+                        "snapshot: shuffle pos %zu out of range", pos_);
+    }
 }
 
-void
-ShuffleAssigner::loadState(StateReader &r)
-{
-    Rng::State st;
-    for (std::uint64_t &word : st.s)
-        word = r.u64("assign.rng");
-    rng_.setState(st);
-    perm_.resize(static_cast<std::size_t>(n_));
-    for (int &p : perm_)
-        p = static_cast<int>(r.i64("assign.perm"));
-    pos_ = r.u64("assign.pos");
-    if (pos_ > perm_.size())
-        scsim_throw(CacheError, "snapshot: shuffle pos %zu out of range",
-                    pos_);
-}
+template void ShuffleAssigner::state(StateWriter &);
+template void ShuffleAssigner::state(StateReader &);
 
 HashTableAssigner::HashTableAssigner(int numSubcores, int entries)
     : SubcoreAssigner(numSubcores),
@@ -139,23 +130,19 @@ HashTableAssigner::nextSubcore()
     return (sel1 << 1) | sel0;
 }
 
+template <class Ar>
 void
-HashTableAssigner::saveState(StateWriter &w) const
+HashTableAssigner::state(Ar &ar)
 {
-    w.u64("assign.w", w_);
+    ar.u64("assign.w", w_);
     // The table is programmed deterministically at construction, but a
     // test may have repatched it through setEntry — persist it too.
-    for (std::uint8_t e : table_)
-        w.u64("assign.entry", e);
+    for (std::uint8_t &e : table_)
+        ar.u64("assign.entry", e);
 }
 
-void
-HashTableAssigner::loadState(StateReader &r)
-{
-    w_ = r.u64("assign.w");
-    for (std::uint8_t &e : table_)
-        e = static_cast<std::uint8_t>(r.u64("assign.entry"));
-}
+template void HashTableAssigner::state(StateWriter &);
+template void HashTableAssigner::state(StateReader &);
 
 void
 HashTableAssigner::programSrr()

@@ -48,9 +48,13 @@ class SubcoreAssigner
 
     virtual void reset() = 0;
 
-    /** Checkpointing; stateless policies keep the empty default. */
-    virtual void saveState(StateWriter &) const {}
-    virtual void loadState(StateReader &) {}
+    /**
+     * Checkpointing: a stateful policy overrides both archive
+     * overloads to forward to its own `state<Ar>` schema; stateless
+     * policies keep the empty default.
+     */
+    virtual void state(StateWriter &) {}
+    virtual void state(StateReader &) {}
 
     int numSubcores() const { return n_; }
 
@@ -64,8 +68,9 @@ class RoundRobinAssigner : public SubcoreAssigner
     using SubcoreAssigner::SubcoreAssigner;
     int nextSubcore() override;
     void reset() override { w_ = 0; }
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void state(StateWriter &ar) override { state<>(ar); }
+    void state(StateReader &ar) override { state<>(ar); }
+    template <class Ar> void state(Ar &ar);
 
   private:
     std::uint64_t w_ = 0;
@@ -77,8 +82,9 @@ class SrrAssigner : public SubcoreAssigner
     using SubcoreAssigner::SubcoreAssigner;
     int nextSubcore() override;
     void reset() override { w_ = 0; }
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void state(StateWriter &ar) override { state<>(ar); }
+    void state(StateReader &ar) override { state<>(ar); }
+    template <class Ar> void state(Ar &ar);
 
   private:
     std::uint64_t w_ = 0;
@@ -90,8 +96,9 @@ class ShuffleAssigner : public SubcoreAssigner
     ShuffleAssigner(int numSubcores, std::uint64_t seed);
     int nextSubcore() override;
     void reset() override;
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void state(StateWriter &ar) override { state<>(ar); }
+    void state(StateReader &ar) override { state<>(ar); }
+    template <class Ar> void state(Ar &ar);
 
   private:
     void refill();
@@ -114,8 +121,9 @@ class HashTableAssigner : public SubcoreAssigner
 
     int nextSubcore() override;
     void reset() override { w_ = 0; }
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void state(StateWriter &ar) override { state<>(ar); }
+    void state(StateReader &ar) override { state<>(ar); }
+    template <class Ar> void state(Ar &ar);
 
     /** Load the SRR pattern (repeats every 16 warps; 4 entries). */
     void programSrr();

@@ -36,18 +36,15 @@ PipeSet::reset()
         pipe.reset();
 }
 
+template <class Ar>
 void
-PipeSet::saveState(StateWriter &w) const
-{
-    for (const ExecPipe &pipe : pipes_)
-        w.u64("pipe.busyUntil", pipe.busyUntil());
-}
-
-void
-PipeSet::loadState(StateReader &r)
+PipeSet::state(Ar &ar)
 {
     for (ExecPipe &pipe : pipes_)
-        pipe.setBusyUntil(r.u64("pipe.busyUntil"));
+        ar.u64("pipe.busyUntil", pipe.busyUntil_);
 }
+
+template void PipeSet::state(StateWriter &);
+template void PipeSet::state(StateReader &);
 
 } // namespace scsim

@@ -19,9 +19,6 @@
 
 namespace scsim {
 
-class StateReader;
-class StateWriter;
-
 class ExecPipe
 {
   public:
@@ -41,10 +38,9 @@ class ExecPipe
 
     void reset() { busyUntil_ = 0; }
 
-    Cycle busyUntil() const { return busyUntil_; }
-    void setBusyUntil(Cycle c) { busyUntil_ = c; }
-
   private:
+    friend class PipeSet;   // checkpoints busyUntil_
+
     UnitKind kind_;
     int initiation_;
     int latency_;
@@ -64,9 +60,8 @@ class PipeSet
 
     void reset();
 
-    /** Checkpointing: only busyUntil_ is dynamic; shape is config. */
-    void saveState(StateWriter &w) const;
-    void loadState(StateReader &r);
+    /** Checkpoint schema: only busyUntil_ is dynamic; shape is config. */
+    template <class Ar> void state(Ar &ar);
 
   private:
     std::vector<ExecPipe> pipes_;

@@ -79,7 +79,6 @@ IssueCluster::cycle(Cycle now, SmCore &sm)
     dispatch(now, sm);
     int issued = issue(now, sm);
     applyGrants(now, sm);
-    snapshotQueues();
     // Grants landing after the issue phase ready warps (writes) or
     // CUs (reads) for the *next* cycle, so they count as work even
     // when nothing issued this cycle.
@@ -151,12 +150,6 @@ IssueCluster::applyGrants(Cycle now, SmCore &sm)
         static_cast<std::uint64_t>(grants_.conflictCycles);
     if (!grants_.reads.empty())
         sm.noteRfReads(now, static_cast<int>(grants_.reads.size()));
-}
-
-bool
-IssueCluster::candidateReady(const WarpContext &warp) const
-{
-    return candidateReadyWith(warp, collector_.hasFree());
 }
 
 bool
@@ -353,32 +346,9 @@ IssueCluster::issueTo(Cycle now, SmCore &sm, int sched, WarpSlot slot)
 }
 
 void
-IssueCluster::snapshotQueues()
-{
-    // Snapshots are taken at the start of issue(); nothing to do here.
-}
-
-void
 IssueCluster::onIdleSkip()
 {
     std::fill(qlenRing_.begin(), qlenRing_.end(), 0);
-}
-
-bool
-IssueCluster::hasImmediateWork(const SmCore &sm) const
-{
-    if (arbiter_.anyPending())
-        return true;
-    for (int i = 0; i < collector_.size(); ++i)
-        if (collector_.unit(i).busy)
-            return true;
-    const WarpContext *warps = sm.warpTable();
-    const bool cuFree = collector_.hasFree();
-    for (const auto &list : schedWarps_)
-        for (WarpSlot slot : list)
-            if (candidateReadyWith(warps[slot], cuFree))
-                return true;
-    return false;
 }
 
 void
@@ -396,50 +366,32 @@ IssueCluster::reset()
     head_ = 0;
 }
 
+template <class Ar>
 void
-IssueCluster::saveState(StateWriter &w) const
+IssueCluster::state(Ar &ar)
 {
     // grants_ and candidates_ are per-cycle scratch (cleared before
     // every use) and are deliberately not part of the snapshot.
-    arbiter_.saveState(w);
-    collector_.saveState(w);
-    pipes_.saveState(w);
-    for (const auto &sched : scheds_)
-        sched->saveState(w);
-    for (const auto &list : schedWarps_) {
-        w.u64("ic.warps", list.size());
-        for (WarpSlot slot : list)
-            w.i64("ic.slot", slot);
-    }
-    for (std::uint32_t age : ageCounter_)
-        w.u64("ic.age", age);
-    for (int qlen : qlenRing_)
-        w.i64("ic.qlen", qlen);
-    w.u64("ic.head", head_);
+    arbiter_.state(ar);
+    collector_.state(ar);
+    pipes_.state(ar);
+    for (auto &sched : scheds_)
+        sched->state(ar);
+    for (auto &list : schedWarps_)
+        ar.seq("ic.warps", list,
+               [&](WarpSlot &slot) { ar.i64("ic.slot", slot); });
+    for (std::uint32_t &age : ageCounter_)
+        ar.u64("ic.age", age);
+    for (int &qlen : qlenRing_)
+        ar.i64("ic.qlen", qlen);
+    ar.u64("ic.head", head_);
+    if constexpr (Ar::kLoading)
+        if (head_ >= ringDepth_)
+            scsim_throw(CacheError,
+                        "snapshot: ring head %zu out of range", head_);
 }
 
-void
-IssueCluster::loadState(StateReader &r)
-{
-    arbiter_.loadState(r);
-    collector_.loadState(r);
-    pipes_.loadState(r);
-    for (auto &sched : scheds_)
-        sched->loadState(r);
-    for (auto &list : schedWarps_) {
-        list.clear();
-        std::uint64_t n = r.u64("ic.warps");
-        for (std::uint64_t i = 0; i < n; ++i)
-            list.push_back(static_cast<WarpSlot>(r.i64("ic.slot")));
-    }
-    for (std::uint32_t &age : ageCounter_)
-        age = static_cast<std::uint32_t>(r.u64("ic.age"));
-    for (int &qlen : qlenRing_)
-        qlen = static_cast<int>(r.i64("ic.qlen"));
-    head_ = r.u64("ic.head");
-    if (head_ >= ringDepth_)
-        scsim_throw(CacheError, "snapshot: ring head %zu out of range",
-                    head_);
-}
+template void IssueCluster::state(StateWriter &);
+template void IssueCluster::state(StateReader &);
 
 } // namespace scsim

@@ -9,9 +9,9 @@
  * holding all four schedulers and the pooled banks/CUs/pipes.
  *
  * Per-cycle sequence (driven by SmCore): dispatch ready collector
- * units to pipes -> arbitrate register banks -> issue from each
- * scheduler -> snapshot bank-queue lengths for the RBA staleness
- * model.
+ * units to pipes -> issue from each scheduler (after recording the
+ * bank-queue lengths for the RBA staleness model) -> arbitrate
+ * register banks.
  */
 
 #ifndef SCSIM_CORE_ISSUE_CLUSTER_HH
@@ -29,8 +29,6 @@
 namespace scsim {
 
 class SmCore;
-class StateReader;
-class StateWriter;
 
 class IssueCluster
 {
@@ -76,28 +74,21 @@ class IssueCluster
     /** Idle cycles were skipped; queue history collapses to empty. */
     void onIdleSkip();
 
-    /** Anything in flight or issuable right now? */
-    bool hasImmediateWork(const SmCore &sm) const;
-
     void reset();
 
-    /** Checkpointing: tables, arbiter/collector/pipes, queue ring. */
-    void saveState(StateWriter &w) const;
-    void loadState(StateReader &r);
+    /** Checkpoint schema: tables, arbiter/collector/pipes, queue ring. */
+    template <class Ar> void state(Ar &ar);
 
   private:
     void dispatch(Cycle now, SmCore &sm);
     void applyGrants(Cycle now, SmCore &sm);
     int issue(Cycle now, SmCore &sm);   //!< returns instructions issued
-    void snapshotQueues();
-
-    /** Ready-to-issue test for one warp's next instruction. */
-    bool candidateReady(const WarpContext &warp) const;
 
     /**
-     * candidateReady with the collector-free test hoisted out: within
-     * one candidate scan no CU is allocated, so callers evaluate
-     * collector_.hasFree() once instead of per warp.
+     * Ready-to-issue test for one warp's next instruction, with the
+     * collector-free test hoisted out: within one candidate scan no CU
+     * is allocated, so callers evaluate collector_.hasFree() once
+     * instead of per warp.
      */
     bool candidateReadyWith(const WarpContext &warp, bool cuFree) const;
 

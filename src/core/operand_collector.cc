@@ -1,5 +1,7 @@
 #include "core/operand_collector.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/state_io.hh"
 
@@ -103,32 +105,54 @@ OperandCollector::reset()
     freeCount_ = static_cast<int>(cus_.size());
 }
 
+namespace {
+
+/** Every field of the instruction staged in a collector unit. */
+template <class Ar>
 void
-OperandCollector::saveState(StateWriter &w) const
+instructionState(Ar &ar, Instruction &inst)
 {
-    for (const CollectorUnit &cu : cus_) {
-        w.b("cu.busy", cu.busy);
-        w.i64("cu.warp", cu.warp);
-        w.u64("cu.pending", cu.pendingOperands);
-        w.u64("cu.alloc", cu.allocCycle);
-        saveInstructionState(w, cu.inst);
-    }
+    ar.u64("inst.op", inst.op);
+    if constexpr (Ar::kLoading)
+        if (inst.op >= Opcode::NumOpcodes)
+            scsim_throw(CacheError, "snapshot: bad opcode %u",
+                        static_cast<unsigned>(inst.op));
+    ar.i64("inst.dst", inst.dst);
+    for (RegIndex &reg : inst.srcs)
+        ar.i64("inst.src", reg);
+    ar.u64("inst.mem.space", inst.mem.space);
+    if constexpr (Ar::kLoading)
+        if (inst.mem.space > MemSpace::Shared)
+            scsim_throw(CacheError, "snapshot: bad memory space %u",
+                        static_cast<unsigned>(inst.mem.space));
+    ar.u64("inst.mem.region", inst.mem.region);
+    ar.u64("inst.mem.sectors", inst.mem.sectors);
+    ar.u64("inst.mem.stride", inst.mem.strideBytes);
+    ar.u64("inst.mem.step", inst.mem.stepBytes);
+    ar.u64("inst.mem.footprint", inst.mem.footprintBytes);
+    ar.b("inst.mem.random", inst.mem.randomAccess);
 }
 
+} // namespace
+
+template <class Ar>
 void
-OperandCollector::loadState(StateReader &r)
+OperandCollector::state(Ar &ar)
 {
-    freeCount_ = 0;
     for (CollectorUnit &cu : cus_) {
-        cu.busy = r.b("cu.busy");
-        cu.warp = static_cast<WarpSlot>(r.i64("cu.warp"));
-        cu.pendingOperands =
-            static_cast<std::uint32_t>(r.u64("cu.pending"));
-        cu.allocCycle = r.u64("cu.alloc");
-        cu.inst = loadInstructionState(r);
-        if (!cu.busy)
-            ++freeCount_;
+        ar.b("cu.busy", cu.busy);
+        ar.i64("cu.warp", cu.warp);
+        ar.u64("cu.pending", cu.pendingOperands);
+        ar.u64("cu.alloc", cu.allocCycle);
+        instructionState(ar, cu.inst);
     }
+    if constexpr (Ar::kLoading)
+        freeCount_ = static_cast<int>(
+            std::count_if(cus_.begin(), cus_.end(),
+                          [](const CollectorUnit &cu) { return !cu.busy; }));
 }
+
+template void OperandCollector::state(StateWriter &);
+template void OperandCollector::state(StateReader &);
 
 } // namespace scsim

@@ -69,9 +69,8 @@ class OperandCollector
 
     void reset();
 
-    /** Checkpointing: every CU, including its staged instruction. */
-    void saveState(StateWriter &w) const;
-    void loadState(StateReader &r);
+    /** Checkpoint schema: every CU, including its staged instruction. */
+    template <class Ar> void state(Ar &ar);
 
   private:
     std::vector<CollectorUnit> cus_;

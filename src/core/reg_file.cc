@@ -62,51 +62,24 @@ RegFileArbiter::reset()
     pendingOps_ = 0;
 }
 
+template <class Ar>
 void
-RegFileArbiter::saveState(StateWriter &w) const
+RegFileArbiter::state(Ar &ar)
 {
-    for (const auto &q : readQ_) {
-        w.u64("rf.readq", q.size());
-        for (const ReadRequest &req : q) {
-            w.i64("rf.read.cu", req.cu);
-            w.u64("rf.read.mask", req.operandMask);
-        }
-    }
-    for (const auto &q : writeQ_) {
-        w.u64("rf.writeq", q.size());
-        for (const WriteRequest &req : q) {
-            w.i64("rf.write.warp", req.warp);
-            w.i64("rf.write.reg", req.reg);
-        }
-    }
-    w.u64("rf.pendingOps", pendingOps_);
+    for (auto &q : readQ_)
+        ar.seq("rf.readq", q, [&](ReadRequest &req) {
+            ar.i64("rf.read.cu", req.cu);
+            ar.u64("rf.read.mask", req.operandMask);
+        });
+    for (auto &q : writeQ_)
+        ar.seq("rf.writeq", q, [&](WriteRequest &req) {
+            ar.i64("rf.write.warp", req.warp);
+            ar.i64("rf.write.reg", req.reg);
+        });
+    ar.u64("rf.pendingOps", pendingOps_);
 }
 
-void
-RegFileArbiter::loadState(StateReader &r)
-{
-    for (auto &q : readQ_) {
-        q.clear();
-        std::uint64_t n = r.u64("rf.readq");
-        for (std::uint64_t i = 0; i < n; ++i) {
-            ReadRequest req;
-            req.cu = static_cast<int>(r.i64("rf.read.cu"));
-            req.operandMask =
-                static_cast<std::uint32_t>(r.u64("rf.read.mask"));
-            q.push_back(req);
-        }
-    }
-    for (auto &q : writeQ_) {
-        q.clear();
-        std::uint64_t n = r.u64("rf.writeq");
-        for (std::uint64_t i = 0; i < n; ++i) {
-            WriteRequest req;
-            req.warp = static_cast<WarpSlot>(r.i64("rf.write.warp"));
-            req.reg = static_cast<RegIndex>(r.i64("rf.write.reg"));
-            q.push_back(req);
-        }
-    }
-    pendingOps_ = r.u64("rf.pendingOps");
-}
+template void RegFileArbiter::state(StateWriter &);
+template void RegFileArbiter::state(StateReader &);
 
 } // namespace scsim

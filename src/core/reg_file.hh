@@ -21,9 +21,6 @@
 
 namespace scsim {
 
-class StateReader;
-class StateWriter;
-
 /** A pending operand read for collector unit @c cu. */
 struct ReadRequest
 {
@@ -100,9 +97,8 @@ class RegFileArbiter
 
     void reset();
 
-    /** Checkpointing: per-bank queues in FIFO order. */
-    void saveState(StateWriter &w) const;
-    void loadState(StateReader &r);
+    /** Checkpoint schema: per-bank queues in FIFO order. */
+    template <class Ar> void state(Ar &ar);
 
   private:
     int numBanks_;

@@ -46,17 +46,15 @@ LrrScheduler::notifyIssued(WarpSlot slot, Cycle)
     lastIssued_ = slot;
 }
 
+template <class Ar>
 void
-LrrScheduler::saveState(StateWriter &w) const
+LrrScheduler::state(Ar &ar)
 {
-    w.i64("lrr.lastIssued", lastIssued_);
+    ar.i64("lrr.lastIssued", lastIssued_);
 }
 
-void
-LrrScheduler::loadState(StateReader &r)
-{
-    lastIssued_ = static_cast<WarpSlot>(r.i64("lrr.lastIssued"));
-}
+template void LrrScheduler::state(StateWriter &);
+template void LrrScheduler::state(StateReader &);
 
 WarpSlot
 GtoScheduler::pick(const std::vector<WarpSlot> &ready,
@@ -87,17 +85,15 @@ GtoScheduler::notifyIssued(WarpSlot slot, Cycle)
     greedyWarp_ = slot;
 }
 
+template <class Ar>
 void
-GtoScheduler::saveState(StateWriter &w) const
+GtoScheduler::state(Ar &ar)
 {
-    w.i64("gto.greedyWarp", greedyWarp_);
+    ar.i64("gto.greedyWarp", greedyWarp_);
 }
 
-void
-GtoScheduler::loadState(StateReader &r)
-{
-    greedyWarp_ = static_cast<WarpSlot>(r.i64("gto.greedyWarp"));
-}
+template void GtoScheduler::state(StateWriter &);
+template void GtoScheduler::state(StateReader &);
 
 WarpSlot
 RbaScheduler::pick(const std::vector<WarpSlot> &ready,

@@ -58,9 +58,13 @@ class WarpScheduler
 
     virtual void reset() {}
 
-    /** Checkpointing; stateless policies keep the empty default. */
-    virtual void saveState(StateWriter &) const {}
-    virtual void loadState(StateReader &) {}
+    /**
+     * Checkpointing: a stateful policy overrides both archive
+     * overloads to forward to its own `state<Ar>` schema; stateless
+     * policies keep the empty default.
+     */
+    virtual void state(StateWriter &) {}
+    virtual void state(StateReader &) {}
 };
 
 /** 5-bit clamped RBA score of @p inst for warp @p slot (eq. in IV-A). */
@@ -74,8 +78,9 @@ class LrrScheduler : public WarpScheduler
                   const PickContext &ctx) override;
     void notifyIssued(WarpSlot slot, Cycle now) override;
     void reset() override { lastIssued_ = kNoWarp; }
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void state(StateWriter &ar) override { state<>(ar); }
+    void state(StateReader &ar) override { state<>(ar); }
+    template <class Ar> void state(Ar &ar);
 
   private:
     WarpSlot lastIssued_ = kNoWarp;
@@ -88,8 +93,9 @@ class GtoScheduler : public WarpScheduler
                   const PickContext &ctx) override;
     void notifyIssued(WarpSlot slot, Cycle now) override;
     void reset() override { greedyWarp_ = kNoWarp; }
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void state(StateWriter &ar) override { state<>(ar); }
+    void state(StateReader &ar) override { state<>(ar); }
+    template <class Ar> void state(Ar &ar);
 
   private:
     WarpSlot greedyWarp_ = kNoWarp;

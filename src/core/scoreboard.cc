@@ -52,32 +52,26 @@ Scoreboard::reset()
     count_ = 0;
 }
 
+template <class Ar>
 void
-Scoreboard::saveState(StateWriter &w) const
+Scoreboard::state(Ar &ar)
 {
     for (int word = 0; word < kMaxRegs / 64; ++word) {
         std::uint64_t bits = 0;
         for (int b = 0; b < 64; ++b)
             if (pending_[static_cast<std::size_t>(word * 64 + b)])
                 bits |= std::uint64_t(1) << b;
-        w.u64("sb.word", bits);
+        ar.u64("sb.word", bits);
+        if constexpr (Ar::kLoading)
+            for (int b = 0; b < 64; ++b)
+                pending_[static_cast<std::size_t>(word * 64 + b)] =
+                    (bits >> b) & 1;
     }
+    if constexpr (Ar::kLoading)
+        count_ = static_cast<int>(pending_.count());
 }
 
-void
-Scoreboard::loadState(StateReader &r)
-{
-    pending_.reset();
-    count_ = 0;
-    for (int word = 0; word < kMaxRegs / 64; ++word) {
-        std::uint64_t bits = r.u64("sb.word");
-        for (int b = 0; b < 64; ++b) {
-            if (bits & (std::uint64_t(1) << b)) {
-                pending_.set(static_cast<std::size_t>(word * 64 + b));
-                ++count_;
-            }
-        }
-    }
-}
+template void Scoreboard::state(StateWriter &);
+template void Scoreboard::state(StateReader &);
 
 } // namespace scsim

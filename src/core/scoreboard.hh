@@ -16,9 +16,6 @@
 
 namespace scsim {
 
-class StateReader;
-class StateWriter;
-
 class Scoreboard
 {
   public:
@@ -37,9 +34,8 @@ class Scoreboard
 
     void reset();
 
-    /** Checkpointing: the pending mask as four u64 words. */
-    void saveState(StateWriter &w) const;
-    void loadState(StateReader &r);
+    /** Checkpoint schema: the pending mask as four u64 words. */
+    template <class Ar> void state(Ar &ar);
 
   private:
     static constexpr int kMaxRegs = 256;

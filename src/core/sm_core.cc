@@ -438,167 +438,91 @@ SmCore::reset()
     hadWork_ = false;
 }
 
-namespace {
-
-int
-kernelIndexOf(const Application &app, const KernelDesc *kernel)
-{
-    if (!kernel)
-        return -1;
-    for (std::size_t i = 0; i < app.kernels.size(); ++i)
-        if (&app.kernels[i] == kernel)
-            return static_cast<int>(i);
-    scsim_panic("block references a kernel outside the application");
-}
-
-const KernelDesc *
-kernelAt(const Application &app, std::int64_t idx)
-{
-    if (idx < 0)
-        return nullptr;
-    if (idx >= static_cast<std::int64_t>(app.kernels.size()))
-        scsim_throw(CacheError,
-                    "snapshot: kernel index %lld out of range (%zu "
-                    "kernels)",
-                    static_cast<long long>(idx), app.kernels.size());
-    return &app.kernels[static_cast<std::size_t>(idx)];
-}
-
-} // namespace
-
+template <class Ar>
 void
-SmCore::saveState(StateWriter &w, const Application &app) const
+SmCore::state(Ar &ar, const Application &app)
 {
     // l1PortsLeft_ is reset at the top of every cycle() and rfTrace_
     // is derived from the config; neither is snapshotted.
-    for (const WarpContext &warp : warps_) {
-        w.i64("warp.slot", warp.slot);
-        w.i64("warp.blockSeq", warp.blockSeq);
-        w.i64("warp.inBlock", warp.warpInBlock);
-        w.u64("warp.gwid", warp.gwid);
-        w.i64("warp.cluster", warp.cluster);
-        w.i64("warp.sched", warp.schedInCluster);
-        w.u64("warp.ageRank", warp.ageRank);
-        w.u64("warp.regBytes", warp.regBytes);
-        w.b("warp.active", warp.active);
-        w.b("warp.exited", warp.exited);
-        w.b("warp.atBarrier", warp.atBarrier);
-        w.u64("warp.pc", warp.pc);
-        w.u64("warp.memIter", warp.memIter);
-        w.u64("warp.lastIssue", warp.lastIssue);
-        w.b("warp.sbBlocked", warp.sbBlocked);
-        warp.scoreboard.saveState(w);
-    }
-    w.u64("sm.freeSlots", freeSlots_.size());
-    for (WarpSlot slot : freeSlots_)
-        w.i64("sm.freeSlot", slot);
-    for (const BlockState &block : blocks_) {
-        w.b("blk.live", block.live);
-        w.i64("blk.id", block.blockId);
-        w.i64("blk.kernel", kernelIndexOf(app, block.kernel));
-        w.i64("blk.warpsTotal", block.warpsTotal);
-        w.i64("blk.warpsExited", block.warpsExited);
-        w.i64("blk.barrier", block.barrierArrived);
-        w.u64("blk.slots", block.slots.size());
-        for (WarpSlot slot : block.slots)
-            w.i64("blk.slot", slot);
-    }
-    for (const auto &cluster : clusters_)
-        cluster->saveState(w);
-    assigner_->saveState(w);
-    for (std::uint32_t used : regBytesUsed_)
-        w.u64("sm.regBytesUsed", used);
-    w.u64("sm.smemUsed", smemUsed_);
-    w.i64("sm.activeBlocks", activeBlocks_);
-    // The writeback min-heap is serialized as its backing array, so a
-    // restore reproduces the exact pop order of equal-cycle events.
-    w.u64("sm.events", events_.size());
-    for (const RegWriteEvent &ev : events_) {
-        w.u64("ev.when", ev.when);
-        w.i64("ev.warp", ev.warp);
-        w.i64("ev.reg", ev.reg);
-    }
-    w.b("sm.hadWork", hadWork_);
-}
-
-void
-SmCore::loadState(StateReader &r, const Application &app)
-{
     for (WarpContext &warp : warps_) {
-        warp.slot = static_cast<WarpSlot>(r.i64("warp.slot"));
-        warp.blockSeq = static_cast<int>(r.i64("warp.blockSeq"));
-        warp.warpInBlock = static_cast<int>(r.i64("warp.inBlock"));
-        warp.gwid = r.u64("warp.gwid");
-        warp.cluster = static_cast<int>(r.i64("warp.cluster"));
-        warp.schedInCluster = static_cast<int>(r.i64("warp.sched"));
-        warp.ageRank = static_cast<std::uint32_t>(r.u64("warp.ageRank"));
-        warp.regBytes =
-            static_cast<std::uint32_t>(r.u64("warp.regBytes"));
-        warp.active = r.b("warp.active");
-        warp.exited = r.b("warp.exited");
-        warp.atBarrier = r.b("warp.atBarrier");
-        warp.pc = static_cast<std::uint32_t>(r.u64("warp.pc"));
-        warp.memIter = r.u64("warp.memIter");
-        warp.lastIssue = r.u64("warp.lastIssue");
-        warp.sbBlocked = r.b("warp.sbBlocked");
-        warp.scoreboard.loadState(r);
-        warp.prog = nullptr;   // re-resolved from the block table below
+        ar.i64("warp.slot", warp.slot);
+        ar.i64("warp.blockSeq", warp.blockSeq);
+        ar.i64("warp.inBlock", warp.warpInBlock);
+        ar.u64("warp.gwid", warp.gwid);
+        ar.i64("warp.cluster", warp.cluster);
+        ar.i64("warp.sched", warp.schedInCluster);
+        ar.u64("warp.ageRank", warp.ageRank);
+        ar.u64("warp.regBytes", warp.regBytes);
+        ar.b("warp.active", warp.active);
+        ar.b("warp.exited", warp.exited);
+        ar.b("warp.atBarrier", warp.atBarrier);
+        ar.u64("warp.pc", warp.pc);
+        ar.u64("warp.memIter", warp.memIter);
+        ar.u64("warp.lastIssue", warp.lastIssue);
+        ar.b("warp.sbBlocked", warp.sbBlocked);
+        warp.scoreboard.state(ar);
+        if constexpr (Ar::kLoading)
+            warp.prog = nullptr;   // re-resolved from the block table
     }
-    freeSlots_.clear();
-    std::uint64_t nFree = r.u64("sm.freeSlots");
-    for (std::uint64_t i = 0; i < nFree; ++i)
-        freeSlots_.push_back(static_cast<WarpSlot>(r.i64("sm.freeSlot")));
+    ar.seq("sm.freeSlots", freeSlots_,
+           [&](WarpSlot &slot) { ar.i64("sm.freeSlot", slot); });
     for (BlockState &block : blocks_) {
-        block.live = r.b("blk.live");
-        block.blockId = static_cast<int>(r.i64("blk.id"));
-        block.kernel = kernelAt(app, r.i64("blk.kernel"));
-        block.warpsTotal = static_cast<int>(r.i64("blk.warpsTotal"));
-        block.warpsExited = static_cast<int>(r.i64("blk.warpsExited"));
-        block.barrierArrived = static_cast<int>(r.i64("blk.barrier"));
-        block.slots.clear();
-        std::uint64_t nSlots = r.u64("blk.slots");
-        for (std::uint64_t i = 0; i < nSlots; ++i)
-            block.slots.push_back(
-                static_cast<WarpSlot>(r.i64("blk.slot")));
-        if (block.live && !block.kernel)
-            scsim_throw(CacheError,
-                        "snapshot: live block without a kernel");
+        ar.b("blk.live", block.live);
+        ar.i64("blk.id", block.blockId);
+        std::int64_t kernel = Ar::kLoading ? 0 : app.indexOf(block.kernel);
+        ar.i64("blk.kernel", kernel);
+        ar.i64("blk.warpsTotal", block.warpsTotal);
+        ar.i64("blk.warpsExited", block.warpsExited);
+        ar.i64("blk.barrier", block.barrierArrived);
+        ar.seq("blk.slots", block.slots,
+               [&](WarpSlot &slot) { ar.i64("blk.slot", slot); });
+        if constexpr (Ar::kLoading) {
+            block.kernel = app.kernelAt(kernel);
+            if (block.live && !block.kernel)
+                scsim_throw(CacheError,
+                            "snapshot: live block without a kernel");
+        }
     }
-    // Re-resolve warp program pointers through their blocks.
-    for (const BlockState &block : blocks_) {
-        if (!block.live)
-            continue;
-        for (WarpSlot slot : block.slots) {
-            if (slot < 0
-                || slot >= static_cast<WarpSlot>(warps_.size()))
-                scsim_throw(CacheError,
-                            "snapshot: warp slot %d out of range", slot);
-            WarpContext &warp = warps_[static_cast<std::size_t>(slot)];
-            if (warp.warpInBlock < 0
-                || warp.warpInBlock >= block.kernel->warpsPerBlock)
-                scsim_throw(CacheError,
-                            "snapshot: warp-in-block %d out of range",
-                            warp.warpInBlock);
-            warp.prog = &block.kernel->programOf(warp.warpInBlock);
+    if constexpr (Ar::kLoading) {
+        // Re-resolve warp program pointers through their blocks.
+        for (const BlockState &block : blocks_) {
+            if (!block.live)
+                continue;
+            for (WarpSlot slot : block.slots) {
+                if (slot < 0
+                    || slot >= static_cast<WarpSlot>(warps_.size()))
+                    scsim_throw(CacheError,
+                                "snapshot: warp slot %d out of range",
+                                slot);
+                WarpContext &warp =
+                    warps_[static_cast<std::size_t>(slot)];
+                if (warp.warpInBlock < 0
+                    || warp.warpInBlock >= block.kernel->warpsPerBlock)
+                    scsim_throw(CacheError,
+                                "snapshot: warp-in-block %d out of range",
+                                warp.warpInBlock);
+                warp.prog = &block.kernel->programOf(warp.warpInBlock);
+            }
         }
     }
     for (auto &cluster : clusters_)
-        cluster->loadState(r);
-    assigner_->loadState(r);
+        cluster->state(ar);
+    assigner_->state(ar);
     for (std::uint32_t &used : regBytesUsed_)
-        used = static_cast<std::uint32_t>(r.u64("sm.regBytesUsed"));
-    smemUsed_ = static_cast<std::uint32_t>(r.u64("sm.smemUsed"));
-    activeBlocks_ = static_cast<int>(r.i64("sm.activeBlocks"));
-    events_.clear();
-    std::uint64_t nEvents = r.u64("sm.events");
-    for (std::uint64_t i = 0; i < nEvents; ++i) {
-        RegWriteEvent ev;
-        ev.when = r.u64("ev.when");
-        ev.warp = static_cast<WarpSlot>(r.i64("ev.warp"));
-        ev.reg = static_cast<RegIndex>(r.i64("ev.reg"));
-        events_.push_back(ev);
-    }
-    hadWork_ = r.b("sm.hadWork");
+        ar.u64("sm.regBytesUsed", used);
+    ar.u64("sm.smemUsed", smemUsed_);
+    ar.i64("sm.activeBlocks", activeBlocks_);
+    // The writeback min-heap is serialized as its backing array, so a
+    // restore reproduces the exact pop order of equal-cycle events.
+    ar.seq("sm.events", events_, [&](RegWriteEvent &ev) {
+        ar.u64("ev.when", ev.when);
+        ar.i64("ev.warp", ev.warp);
+        ar.i64("ev.reg", ev.reg);
+    });
+    ar.b("sm.hadWork", hadWork_);
 }
+
+template void SmCore::state(StateWriter &, const Application &);
+template void SmCore::state(StateReader &, const Application &);
 
 } // namespace scsim

@@ -23,8 +23,6 @@
 
 namespace scsim {
 
-class StateReader;
-class StateWriter;
 struct Application;
 
 class SmCore
@@ -62,13 +60,12 @@ class SmCore
     void reset();
 
     /**
-     * Checkpointing.  Kernel pointers (block table, warp programs)
+     * Checkpoint schema.  Kernel pointers (block table, warp programs)
      * are serialized as indices into @p app and re-resolved on load,
      * so a snapshot is only valid against the identical application —
      * the surrounding frame pins the job key to enforce that.
      */
-    void saveState(StateWriter &w, const Application &app) const;
-    void loadState(StateReader &r, const Application &app);
+    template <class Ar> void state(Ar &ar, const Application &app);
 
     // ---- callbacks used by IssueCluster -------------------------------
     WarpContext *warpTable() { return warps_.data(); }

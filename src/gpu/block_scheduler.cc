@@ -66,43 +66,27 @@ BlockScheduler::reset()
     rrKernel_ = 0;
 }
 
+template <class Ar>
 void
-BlockScheduler::saveState(StateWriter &w, const Application &app) const
+BlockScheduler::state(Ar &ar, const Application &app)
 {
-    w.u64("bs.queues", queues_.size());
-    for (const KernelQueue &q : queues_) {
-        int idx = -1;
-        for (std::size_t i = 0; i < app.kernels.size(); ++i)
-            if (&app.kernels[i] == q.kernel)
-                idx = static_cast<int>(i);
-        scsim_assert(idx >= 0, "queued kernel not in the application");
-        w.i64("bs.kernel", idx);
-        w.i64("bs.nextBlock", q.nextBlock);
-    }
-    w.u64("bs.rrSm", rrSm_);
-    w.u64("bs.rrKernel", rrKernel_);
+    ar.seq("bs.queues", queues_, [&](KernelQueue &q) {
+        std::int64_t kernel = Ar::kLoading ? 0 : app.indexOf(q.kernel);
+        ar.i64("bs.kernel", kernel);
+        ar.i64("bs.nextBlock", q.nextBlock);
+        if constexpr (Ar::kLoading) {
+            q.kernel = app.kernelAt(kernel);
+            if (!q.kernel)
+                scsim_throw(CacheError,
+                            "snapshot: queued kernel index %lld out of "
+                            "range", static_cast<long long>(kernel));
+        }
+    });
+    ar.u64("bs.rrSm", rrSm_);
+    ar.u64("bs.rrKernel", rrKernel_);
 }
 
-void
-BlockScheduler::loadState(StateReader &r, const Application &app)
-{
-    queues_.clear();
-    std::uint64_t n = r.u64("bs.queues");
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::int64_t idx = r.i64("bs.kernel");
-        if (idx < 0 || idx >= static_cast<std::int64_t>(
-                           app.kernels.size()))
-            scsim_throw(CacheError,
-                        "snapshot: queued kernel index %lld out of "
-                        "range",
-                        static_cast<long long>(idx));
-        KernelQueue q;
-        q.kernel = &app.kernels[static_cast<std::size_t>(idx)];
-        q.nextBlock = static_cast<int>(r.i64("bs.nextBlock"));
-        queues_.push_back(q);
-    }
-    rrSm_ = r.u64("bs.rrSm");
-    rrKernel_ = r.u64("bs.rrKernel");
-}
+template void BlockScheduler::state(StateWriter &, const Application &);
+template void BlockScheduler::state(StateReader &, const Application &);
 
 } // namespace scsim

@@ -44,9 +44,9 @@ class BlockScheduler
 
     void reset();
 
-    /** Checkpointing: kernel queues (as app indices) + RR cursors. */
-    void saveState(StateWriter &w, const Application &app) const;
-    void loadState(StateReader &r, const Application &app);
+    /** Checkpoint schema: kernel queues (as @p app indices) + RR
+     *  cursors. */
+    template <class Ar> void state(Ar &ar, const Application &app);
 
   private:
     struct KernelQueue

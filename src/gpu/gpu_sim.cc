@@ -259,27 +259,58 @@ GpuSim::run(const Application &app)
     return finishRun(now);
 }
 
+template <class Ar>
+void
+GpuSim::state(Ar &ar, Cycle &now)
+{
+    ar.b("run.concurrent", concurrent_);
+    ar.u64("run.kernelIdx", kernelIdx_);
+    ar.u64("run.kernelStart", kernelStart_);
+    ar.u64("run.now", now);
+    ar.u64("run.lastProgress", lastProgress_);
+    if constexpr (Ar::kLoading)
+        if (kernelIdx_ >= app_->kernels.size())
+            scsim_throw(CacheError,
+                        "snapshot: kernel index %zu out of range (%zu "
+                        "kernels)",
+                        kernelIdx_, app_->kernels.size());
+    // SimStats rides along as one escaped line of its own wire text;
+    // the trace schema covers the partially filled trailing window
+    // the stats payload (completed samples only) omits.
+    std::string statsText;
+    if constexpr (!Ar::kLoading)
+        statsText = serializeStatsPayload(stats_);
+    ar.str("run.stats", statsText);
+    if constexpr (Ar::kLoading) {
+        SimStats restored;
+        if (!parseStatsPayload(statsText, restored))
+            scsim_throw(CacheError, "snapshot: malformed stats payload");
+        stats_ = std::move(restored);
+        if (stats_.issuePerScheduler.size()
+                != static_cast<std::size_t>(cfg_.numSms)
+            || (cfg_.numSms > 0
+                && stats_.issuePerScheduler[0].size()
+                       != static_cast<std::size_t>(cfg_.schedulersPerSm)))
+            scsim_throw(CacheError,
+                        "snapshot: issue matrix shape does not match the "
+                        "configuration");
+    }
+    stats_.rfReadTrace.state(ar);
+    mem_.state(ar);
+    blockSched_.state(ar, *app_);
+    for (auto &sm : sms_)
+        sm->state(ar, *app_);
+}
+
 std::string
 GpuSim::saveRunState(Cycle now) const
 {
     scsim_assert(app_ != nullptr,
                  "saveRunState outside a run() / resume()");
     StateWriter w;
-    w.b("run.concurrent", concurrent_);
-    w.u64("run.kernelIdx", kernelIdx_);
-    w.u64("run.kernelStart", kernelStart_);
-    w.u64("run.now", now);
-    w.u64("run.lastProgress", lastProgress_);
-    // SimStats rides along as one escaped line of its own wire text;
-    // the two trace fields below cover the partially filled trailing
-    // window the stats payload (completed samples only) omits.
-    w.str("run.stats", serializeStatsPayload(stats_));
-    w.u64("run.traceStart", stats_.rfReadTrace.curWindowStart());
-    w.f64("run.traceSum", stats_.rfReadTrace.curSum());
-    mem_.saveState(w);
-    blockSched_.saveState(w, *app_);
-    for (const auto &sm : sms_)
-        sm->saveState(w, *app_);
+    // A writer only reads the fields it is handed, so the schema's
+    // non-const view of *this never writes through.
+    const_cast<GpuSim &>(*this).state(w, now);
     return w.take();
 }
 
@@ -290,35 +321,9 @@ GpuSim::resume(const Application &app, const std::string &payload)
     resetState();
     app_ = &app;
 
+    Cycle now = 0;
     StateReader r(payload);
-    concurrent_ = r.b("run.concurrent");
-    kernelIdx_ = r.u64("run.kernelIdx");
-    kernelStart_ = r.u64("run.kernelStart");
-    Cycle now = r.u64("run.now");
-    lastProgress_ = r.u64("run.lastProgress");
-
-    std::string statsPayload = r.str("run.stats");
-    SimStats restored;
-    if (!parseStatsPayload(statsPayload, restored))
-        scsim_throw(CacheError, "snapshot: malformed stats payload");
-    stats_ = std::move(restored);
-    if (stats_.issuePerScheduler.size()
-            != static_cast<std::size_t>(cfg_.numSms)
-        || (cfg_.numSms > 0
-            && stats_.issuePerScheduler[0].size()
-                   != static_cast<std::size_t>(cfg_.schedulersPerSm)))
-        scsim_throw(CacheError,
-                    "snapshot: issue matrix shape does not match the "
-                    "configuration");
-    Cycle traceStart = r.u64("run.traceStart");
-    double traceSum = r.f64("run.traceSum");
-    stats_.rfReadTrace.restoreState(stats_.rfReadTrace.samples(),
-                                    traceStart, traceSum);
-
-    mem_.loadState(r);
-    blockSched_.loadState(r, app);
-    for (auto &sm : sms_)
-        sm->loadState(r, app);
+    state(r, now);
     r.expectEnd();
 
     ckptNext_ = ckptEvery_ ? now + ckptEvery_ : 0;
@@ -327,11 +332,6 @@ GpuSim::resume(const Application &app, const std::string &payload)
         now = runLoop(now, app.name.c_str());
         return finishRun(now);
     }
-    if (kernelIdx_ >= app.kernels.size())
-        scsim_throw(CacheError,
-                    "snapshot: kernel index %zu out of range (%zu "
-                    "kernels)",
-                    kernelIdx_, app.kernels.size());
     const KernelDesc &current = app.kernels[kernelIdx_];
     now = runLoop(now, current.name.c_str());
     stats_.kernelSpans.emplace_back(current.name, now - kernelStart_);

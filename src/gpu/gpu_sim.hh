@@ -94,6 +94,9 @@ class GpuSim
     Cycle simulateKernel(const KernelDesc &kernel, Cycle now);
     Cycle runLoop(Cycle now, const char *what);
     std::string saveRunState(Cycle now) const;
+    /** Checkpoint schema: the run cursor (@p now included), the stats
+     *  so far, then every component, against the app in app_. */
+    template <class Ar> void state(Ar &ar, Cycle &now);
     SimStats finishRun(Cycle now);
 
     GpuConfig cfg_;

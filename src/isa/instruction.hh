@@ -153,15 +153,6 @@ struct Instruction
     }
 };
 
-class StateReader;
-class StateWriter;
-
-/** Serialize every field of @p inst for checkpointing. */
-void saveInstructionState(StateWriter &w, const Instruction &inst);
-
-/** Inverse of saveInstructionState; throws CacheError on bad data. */
-Instruction loadInstructionState(StateReader &r);
-
 } // namespace scsim
 
 #endif // SCSIM_ISA_INSTRUCTION_HH

@@ -77,30 +77,21 @@ Cache::reset()
     tick_ = accesses_ = misses_ = 0;
 }
 
+template <class Ar>
 void
-Cache::saveState(StateWriter &w) const
+Cache::state(Ar &ar)
 {
-    w.u64("cache.tick", tick_);
-    w.u64("cache.accesses", accesses_);
-    w.u64("cache.misses", misses_);
-    for (const Line &line : lines_) {
-        w.b("line.valid", line.valid);
-        w.u64("line.tag", line.tag);
-        w.u64("line.lastUse", line.lastUse);
+    ar.u64("cache.tick", tick_);
+    ar.u64("cache.accesses", accesses_);
+    ar.u64("cache.misses", misses_);
+    for (Line &line : lines_) {
+        ar.b("line.valid", line.valid);
+        ar.u64("line.tag", line.tag);
+        ar.u64("line.lastUse", line.lastUse);
     }
 }
 
-void
-Cache::loadState(StateReader &r)
-{
-    tick_ = r.u64("cache.tick");
-    accesses_ = r.u64("cache.accesses");
-    misses_ = r.u64("cache.misses");
-    for (Line &line : lines_) {
-        line.valid = r.b("line.valid");
-        line.tag = r.u64("line.tag");
-        line.lastUse = r.u64("line.lastUse");
-    }
-}
+template void Cache::state(StateWriter &);
+template void Cache::state(StateReader &);
 
 } // namespace scsim

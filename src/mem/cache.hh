@@ -16,9 +16,6 @@
 
 namespace scsim {
 
-class StateReader;
-class StateWriter;
-
 class Cache
 {
   public:
@@ -45,9 +42,8 @@ class Cache
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t misses() const { return misses_; }
 
-    /** Checkpointing: tag array + LRU clock + counters. */
-    void saveState(StateWriter &w) const;
-    void loadState(StateReader &r);
+    /** Checkpoint schema: tag array + LRU clock + counters. */
+    template <class Ar> void state(Ar &ar);
 
   private:
     struct Line

@@ -108,28 +108,20 @@ MemSystem::reset()
     l1Accesses_ = l1Misses_ = 0;
 }
 
+template <class Ar>
 void
-MemSystem::saveState(StateWriter &w) const
-{
-    for (const Cache &l1 : l1s_)
-        l1.saveState(w);
-    l2_.saveState(w);
-    w.f64("mem.l2Free", l2Free_);
-    w.f64("mem.dramFree", dramFree_);
-    w.u64("mem.l1Accesses", l1Accesses_);
-    w.u64("mem.l1Misses", l1Misses_);
-}
-
-void
-MemSystem::loadState(StateReader &r)
+MemSystem::state(Ar &ar)
 {
     for (Cache &l1 : l1s_)
-        l1.loadState(r);
-    l2_.loadState(r);
-    l2Free_ = r.f64("mem.l2Free");
-    dramFree_ = r.f64("mem.dramFree");
-    l1Accesses_ = r.u64("mem.l1Accesses");
-    l1Misses_ = r.u64("mem.l1Misses");
+        l1.state(ar);
+    l2_.state(ar);
+    ar.f64("mem.l2Free", l2Free_);
+    ar.f64("mem.dramFree", dramFree_);
+    ar.u64("mem.l1Accesses", l1Accesses_);
+    ar.u64("mem.l1Misses", l1Misses_);
 }
+
+template void MemSystem::state(StateWriter &);
+template void MemSystem::state(StateReader &);
 
 } // namespace scsim

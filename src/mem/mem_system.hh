@@ -53,9 +53,8 @@ class MemSystem
 
     void reset();
 
-    /** Checkpointing: caches, bandwidth clocks, L1 counters. */
-    void saveState(StateWriter &w) const;
-    void loadState(StateReader &r);
+    /** Checkpoint schema: caches, bandwidth clocks, L1 counters. */
+    template <class Ar> void state(Ar &ar);
 
   private:
     const GpuConfig &cfg_;

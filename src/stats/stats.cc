@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/state_io.hh"
 
 namespace scsim {
 
@@ -128,14 +129,16 @@ TimeSeries::restoreSamples(std::vector<double> samples)
     curWindowStart_ = window_ * samples_.size();
 }
 
+template <class Ar>
 void
-TimeSeries::restoreState(std::vector<double> samples,
-                         Cycle curWindowStart, double curSum)
+TimeSeries::state(Ar &ar)
 {
-    samples_ = std::move(samples);
-    curWindowStart_ = curWindowStart;
-    curSum_ = curSum;
+    ar.u64("run.traceStart", curWindowStart_);
+    ar.f64("run.traceSum", curSum_);
 }
+
+template void TimeSeries::state(StateWriter &);
+template void TimeSeries::state(StateReader &);
 
 double
 TimeSeries::average() const

@@ -76,21 +76,13 @@ class TimeSeries
     void restoreSamples(std::vector<double> samples);
 
     /**
-     * Restore full mid-run sampler state (snapshot restore): the
-     * completed samples plus the partially accumulated trailing
-     * window, exactly as read back through curWindowStart()/curSum().
+     * Checkpoint schema for the partially filled trailing window; the
+     * completed samples travel in the stats payload.
      */
-    void restoreState(std::vector<double> samples, Cycle curWindowStart,
-                      double curSum);
+    template <class Ar> void state(Ar &ar);
 
     Cycle window() const { return window_; }
     const std::vector<double> &samples() const { return samples_; }
-
-    /** Start cycle of the partially filled window (checkpointing). */
-    Cycle curWindowStart() const { return curWindowStart_; }
-
-    /** Accumulated sum of the partially filled window. */
-    double curSum() const { return curSum_; }
 
     /** Average over all completed samples. */
     double average() const;

@@ -79,4 +79,29 @@ Application::validate() const
         k.validate();
 }
 
+std::int64_t
+Application::indexOf(const KernelDesc *kernel) const
+{
+    if (!kernel)
+        return -1;
+    for (std::size_t i = 0; i < kernels.size(); ++i)
+        if (&kernels[i] == kernel)
+            return static_cast<std::int64_t>(i);
+    scsim_panic("kernel '%s' is not part of application '%s'",
+                kernel->name.c_str(), name.c_str());
+}
+
+const KernelDesc *
+Application::kernelAt(std::int64_t idx) const
+{
+    if (idx < 0)
+        return nullptr;
+    if (idx >= static_cast<std::int64_t>(kernels.size()))
+        scsim_throw(CacheError,
+                    "snapshot: kernel index %lld out of range (%zu "
+                    "kernels)",
+                    static_cast<long long>(idx), kernels.size());
+    return &kernels[static_cast<std::size_t>(idx)];
+}
+
 } // namespace scsim

@@ -73,6 +73,13 @@ struct Application
 
     std::uint64_t totalWarpInstructions() const;
     void validate() const;
+
+    /** Index of @p kernel in kernels, -1 for nullptr — how snapshots
+     *  store kernel pointers; panics on a kernel of another app. */
+    std::int64_t indexOf(const KernelDesc *kernel) const;
+
+    /** Inverse of indexOf; throws CacheError when out of range. */
+    const KernelDesc *kernelAt(std::int64_t idx) const;
 };
 
 } // namespace scsim
