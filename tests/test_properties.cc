@@ -1,6 +1,7 @@
 /** @file Cross-cutting property sweeps (TEST_P): invariants that must
  *  hold across design points, workloads and seeds. */
 
+#include <ostream>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -33,6 +34,15 @@ struct DesignPoint
     bool bankStealing;
     bool migration;
 };
+
+// Print a point by its name: gtest's default byte dump would embed the
+// address of `name`, which changes from run to run under ASLR and so
+// gives the registered test a different name on every discovery.
+void
+PrintTo(const DesignPoint &p, std::ostream *os)
+{
+    *os << p.name;
+}
 
 class DesignInvariants : public ::testing::TestWithParam<DesignPoint>
 {};
