@@ -81,14 +81,11 @@ ShuffleAssigner::state(Ar &ar)
         ar.u64("assign.rng", word);
     // perm_ always holds n_ entries (refill() sizes it at construction).
     for (int &p : perm_)
-        ar.i64("assign.perm", p);
-    ar.u64("assign.pos", pos_);
-    if constexpr (Ar::kLoading) {
+        ar.index("assign.perm", p, perm_.size());
+    // pos_ == size: the permutation is used up, refilled on next use.
+    ar.index("assign.pos", pos_, perm_.size() + 1);
+    if constexpr (Ar::kLoading)
         rng_.setState(st);
-        if (pos_ > perm_.size())
-            scsim_throw(CacheError,
-                        "snapshot: shuffle pos %zu out of range", pos_);
-    }
 }
 
 template void ShuffleAssigner::state(StateWriter &);

@@ -44,6 +44,18 @@ PipeSet::state(Ar &ar)
         ar.u64("pipe.busyUntil", pipe.busyUntil_);
 }
 
+void
+PipeSet::checkRestored(Cycle now) const
+{
+    for (const ExecPipe &pipe : pipes_)
+        if (pipe.busyUntil_ > now + static_cast<Cycle>(pipe.initiation_))
+            scsim_throw(CacheError,
+                        "snapshot field 'pipe.busyUntil': busy until cycle "
+                        "%llu, snapshot taken at %llu",
+                        static_cast<unsigned long long>(pipe.busyUntil_),
+                        static_cast<unsigned long long>(now));
+}
+
 template void PipeSet::state(StateWriter &);
 template void PipeSet::state(StateReader &);
 

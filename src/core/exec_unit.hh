@@ -63,6 +63,9 @@ class PipeSet
     /** Checkpoint schema: only busyUntil_ is dynamic; shape is config. */
     template <class Ar> void state(Ar &ar);
 
+    /** After a load: no pipe busy past @p now + its initiation interval. */
+    void checkRestored(Cycle now) const;
+
   private:
     std::vector<ExecPipe> pipes_;
 };

@@ -340,7 +340,7 @@ IssueCluster::issueTo(Cycle now, SmCore &sm, int sched, WarpSlot slot)
         break;
     }
 
-    int cu = collector_.allocate(slot, inst, arbiter_, now);
+    int cu = collector_.allocate(slot, inst, warp.pc - 1, arbiter_, now);
     scsim_assert(cu >= 0, "issue without a free collector unit");
     warp.scoreboard.markIssue(inst);
 }
@@ -372,23 +372,47 @@ IssueCluster::state(Ar &ar)
 {
     // grants_ and candidates_ are per-cycle scratch (cleared before
     // every use) and are deliberately not part of the snapshot.
-    arbiter_.state(ar);
-    collector_.state(ar);
+    const auto warps = static_cast<std::size_t>(cfg_.maxWarpsPerSm);
+    arbiter_.state(ar, static_cast<std::size_t>(collector_.size()), warps);
+    collector_.state(ar, warps);
     pipes_.state(ar);
     for (auto &sched : scheds_)
         sched->state(ar);
     for (auto &list : schedWarps_)
         ar.seq("ic.warps", list,
-               [&](WarpSlot &slot) { ar.i64("ic.slot", slot); });
+               [&](WarpSlot &slot) { ar.index("ic.slot", slot, warps); });
     for (std::uint32_t &age : ageCounter_)
         ar.u64("ic.age", age);
     for (int &qlen : qlenRing_)
         ar.i64("ic.qlen", qlen);
-    ar.u64("ic.head", head_);
-    if constexpr (Ar::kLoading)
-        if (head_ >= ringDepth_)
+    ar.index("ic.head", head_, ringDepth_);
+}
+
+void
+IssueCluster::checkRestored(Cycle now) const
+{
+    std::vector<std::uint32_t> queued(
+        static_cast<std::size_t>(collector_.size()), 0);
+    for (int b = 0; b < arbiter_.numBanks(); ++b)
+        for (const ReadRequest &req : arbiter_.readQueue(b)) {
+            std::uint32_t &mask = queued[static_cast<std::size_t>(req.cu)];
+            if (!collector_.unit(req.cu).busy || req.operandMask == 0
+                || req.operandMask > 0b111 || (mask & req.operandMask))
+                scsim_throw(CacheError,
+                            "snapshot field 'rf.read.mask': operands %#x "
+                            "of collector unit %d are not awaited",
+                            req.operandMask, req.cu);
+            mask |= req.operandMask;
+        }
+    for (int i = 0; i < collector_.size(); ++i)
+        if (queued[static_cast<std::size_t>(i)]
+                != collector_.unit(i).pendingOperands)
             scsim_throw(CacheError,
-                        "snapshot: ring head %zu out of range", head_);
+                        "snapshot field 'cu.pending': collector unit %d "
+                        "awaits operands %#x, reads are queued for %#x",
+                        i, collector_.unit(i).pendingOperands,
+                        queued[static_cast<std::size_t>(i)]);
+    pipes_.checkRestored(now);
 }
 
 template void IssueCluster::state(StateWriter &);

@@ -79,6 +79,14 @@ class IssueCluster
     /** Checkpoint schema: tables, arbiter/collector/pipes, queue ring. */
     template <class Ar> void state(Ar &ar);
 
+    /**
+     * After a load (see SmCore::finishRestore): every read queued for
+     * a collector unit is one of its awaited operands and together
+     * they are all of them, and no pipe is busy past @p now plus its
+     * initiation interval.
+     */
+    void checkRestored(Cycle now) const;
+
   private:
     void dispatch(Cycle now, SmCore &sm);
     void applyGrants(Cycle now, SmCore &sm);

@@ -15,7 +15,8 @@ OperandCollector::OperandCollector(int numCus)
 
 int
 OperandCollector::allocate(WarpSlot warp, const Instruction &inst,
-                           RegFileArbiter &arbiter, Cycle now)
+                           std::uint32_t pc, RegFileArbiter &arbiter,
+                           Cycle now)
 {
     if (freeCount_ == 0)
         return -1;
@@ -32,6 +33,7 @@ OperandCollector::allocate(WarpSlot warp, const Instruction &inst,
     cu.busy = true;
     cu.warp = warp;
     cu.inst = inst;
+    cu.pc = pc;
     cu.pendingOperands = 0;
     cu.allocCycle = now;
     --freeCount_;
@@ -105,46 +107,19 @@ OperandCollector::reset()
     freeCount_ = static_cast<int>(cus_.size());
 }
 
-namespace {
-
-/** Every field of the instruction staged in a collector unit. */
 template <class Ar>
 void
-instructionState(Ar &ar, Instruction &inst)
-{
-    ar.u64("inst.op", inst.op);
-    if constexpr (Ar::kLoading)
-        if (inst.op >= Opcode::NumOpcodes)
-            scsim_throw(CacheError, "snapshot: bad opcode %u",
-                        static_cast<unsigned>(inst.op));
-    ar.i64("inst.dst", inst.dst);
-    for (RegIndex &reg : inst.srcs)
-        ar.i64("inst.src", reg);
-    ar.u64("inst.mem.space", inst.mem.space);
-    if constexpr (Ar::kLoading)
-        if (inst.mem.space > MemSpace::Shared)
-            scsim_throw(CacheError, "snapshot: bad memory space %u",
-                        static_cast<unsigned>(inst.mem.space));
-    ar.u64("inst.mem.region", inst.mem.region);
-    ar.u64("inst.mem.sectors", inst.mem.sectors);
-    ar.u64("inst.mem.stride", inst.mem.strideBytes);
-    ar.u64("inst.mem.step", inst.mem.stepBytes);
-    ar.u64("inst.mem.footprint", inst.mem.footprintBytes);
-    ar.b("inst.mem.random", inst.mem.randomAccess);
-}
-
-} // namespace
-
-template <class Ar>
-void
-OperandCollector::state(Ar &ar)
+OperandCollector::state(Ar &ar, std::size_t numWarps)
 {
     for (CollectorUnit &cu : cus_) {
         ar.b("cu.busy", cu.busy);
-        ar.i64("cu.warp", cu.warp);
+        if (cu.busy)
+            ar.index("cu.warp", cu.warp, numWarps);
+        else   // a free CU holds no warp
+            ar.index("cu.warp", cu.warp, 0, kNoWarp);
+        ar.u64("cu.pc", cu.pc);
         ar.u64("cu.pending", cu.pendingOperands);
         ar.u64("cu.alloc", cu.allocCycle);
-        instructionState(ar, cu.inst);
     }
     if constexpr (Ar::kLoading)
         freeCount_ = static_cast<int>(
@@ -152,7 +127,7 @@ OperandCollector::state(Ar &ar)
                           [](const CollectorUnit &cu) { return !cu.busy; }));
 }
 
-template void OperandCollector::state(StateWriter &);
-template void OperandCollector::state(StateReader &);
+template void OperandCollector::state(StateWriter &, std::size_t);
+template void OperandCollector::state(StateReader &, std::size_t);
 
 } // namespace scsim

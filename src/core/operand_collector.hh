@@ -25,6 +25,7 @@ struct CollectorUnit
     bool busy = false;
     WarpSlot warp = kNoWarp;
     Instruction inst;
+    std::uint32_t pc = 0;                //!< @c inst 's index in its program
     std::uint32_t pendingOperands = 0;   //!< bitmask of unread operands
     Cycle allocCycle = 0;
 
@@ -47,12 +48,19 @@ class OperandCollector
     }
 
     /**
-     * Allocate a CU for @p inst of warp @p warp, enqueueing its
-     * register reads with @p arbiter.
+     * Allocate a CU for @p inst, instruction @p pc of warp @p warp's
+     * program, enqueueing its register reads with @p arbiter.
      * @return the CU index, or -1 when all CUs are busy.
      */
-    int allocate(WarpSlot warp, const Instruction &inst,
+    int allocate(WarpSlot warp, const Instruction &inst, std::uint32_t pc,
                  RegFileArbiter &arbiter, Cycle now);
+
+    /** Resume: re-stage busy CU @p idx 's instruction from its program. */
+    void
+    restage(int idx, const Instruction &inst)
+    {
+        cus_[static_cast<std::size_t>(idx)].inst = inst;
+    }
 
     /** A granted read fills the operand slots in @p operandMask. */
     void operandArrived(int cu, std::uint32_t operandMask);
@@ -69,8 +77,12 @@ class OperandCollector
 
     void reset();
 
-    /** Checkpoint schema: every CU, including its staged instruction. */
-    template <class Ar> void state(Ar &ar);
+    /**
+     * Checkpoint schema: every CU, its staged instruction as a program
+     * index (SmCore re-stages it on load); a busy CU holds one of
+     * @p numWarps warp slots.
+     */
+    template <class Ar> void state(Ar &ar, std::size_t numWarps);
 
   private:
     std::vector<CollectorUnit> cus_;

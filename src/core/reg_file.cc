@@ -2,6 +2,7 @@
 
 #include "common/logging.hh"
 #include "common/state_io.hh"
+#include "core/scoreboard.hh"
 
 namespace scsim {
 
@@ -64,22 +65,28 @@ RegFileArbiter::reset()
 
 template <class Ar>
 void
-RegFileArbiter::state(Ar &ar)
+RegFileArbiter::state(Ar &ar, std::size_t numCus, std::size_t numWarps)
 {
     for (auto &q : readQ_)
         ar.seq("rf.readq", q, [&](ReadRequest &req) {
-            ar.i64("rf.read.cu", req.cu);
+            ar.index("rf.read.cu", req.cu, numCus);
             ar.u64("rf.read.mask", req.operandMask);
         });
     for (auto &q : writeQ_)
         ar.seq("rf.writeq", q, [&](WriteRequest &req) {
-            ar.i64("rf.write.warp", req.warp);
-            ar.i64("rf.write.reg", req.reg);
+            ar.index("rf.write.warp", req.warp, numWarps);
+            ar.index("rf.write.reg", req.reg, Scoreboard::kMaxRegs);
         });
-    ar.u64("rf.pendingOps", pendingOps_);
+    if constexpr (Ar::kLoading) {
+        pendingOps_ = 0;
+        for (std::size_t b = 0; b < readQ_.size(); ++b)
+            pendingOps_ += readQ_[b].size() + writeQ_[b].size();
+    }
 }
 
-template void RegFileArbiter::state(StateWriter &);
-template void RegFileArbiter::state(StateReader &);
+template void RegFileArbiter::state(StateWriter &, std::size_t,
+                                    std::size_t);
+template void RegFileArbiter::state(StateReader &, std::size_t,
+                                    std::size_t);
 
 } // namespace scsim

@@ -88,6 +88,18 @@ class RegFileArbiter
 
     bool anyPending() const { return pendingOps_ != 0; }
 
+    /** Queued requests of @p bank, oldest first. */
+    const std::deque<ReadRequest> &
+    readQueue(int bank) const
+    {
+        return readQ_[static_cast<std::size_t>(bank)];
+    }
+    const std::deque<WriteRequest> &
+    writeQueue(int bank) const
+    {
+        return writeQ_[static_cast<std::size_t>(bank)];
+    }
+
     /** Banks whose read queue is currently empty (bank stealing). */
     bool
     readIdle(int bank) const
@@ -97,8 +109,13 @@ class RegFileArbiter
 
     void reset();
 
-    /** Checkpoint schema: per-bank queues in FIFO order. */
-    template <class Ar> void state(Ar &ar);
+    /**
+     * Checkpoint schema: per-bank queues in FIFO order.  Requests name
+     * one of @p numCus collector units or @p numWarps warp slots; the
+     * pending count is recounted on load.
+     */
+    template <class Ar>
+    void state(Ar &ar, std::size_t numCus, std::size_t numWarps);
 
   private:
     int numBanks_;

@@ -19,6 +19,9 @@ namespace scsim {
 class Scoreboard
 {
   public:
+    /** Registers per warp; register operands index [0, kMaxRegs). */
+    static constexpr int kMaxRegs = 256;
+
     /** May @p inst issue without a data hazard? */
     bool ready(const Instruction &inst) const;
 
@@ -31,6 +34,7 @@ class Scoreboard
     bool anyPending() const { return count_ != 0; }
     int pendingCount() const { return count_; }
     bool pending(RegIndex reg) const;
+    const std::bitset<kMaxRegs> &pendingSet() const { return pending_; }
 
     void reset();
 
@@ -38,7 +42,6 @@ class Scoreboard
     template <class Ar> void state(Ar &ar);
 
   private:
-    static constexpr int kMaxRegs = 256;
     std::bitset<kMaxRegs> pending_;
     int count_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "core/sm_core.hh"
 
 #include <algorithm>
+#include <bitset>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -443,14 +444,17 @@ void
 SmCore::state(Ar &ar, const Application &app)
 {
     // l1PortsLeft_ is reset at the top of every cycle() and rfTrace_
-    // is derived from the config; neither is snapshotted.
+    // is derived from the config; neither is snapshotted, and
+    // finishRestore() recounts regBytesUsed_, smemUsed_ and
+    // activeBlocks_ from the warps and blocks.
     for (WarpContext &warp : warps_) {
         ar.i64("warp.slot", warp.slot);
-        ar.i64("warp.blockSeq", warp.blockSeq);
+        ar.index("warp.blockSeq", warp.blockSeq, blocks_.size(), -1);
         ar.i64("warp.inBlock", warp.warpInBlock);
         ar.u64("warp.gwid", warp.gwid);
-        ar.i64("warp.cluster", warp.cluster);
-        ar.i64("warp.sched", warp.schedInCluster);
+        ar.index("warp.cluster", warp.cluster, clusters_.size(), -1);
+        ar.index("warp.sched", warp.schedInCluster,
+                 static_cast<std::size_t>(cfg_.schedulersPerCluster()));
         ar.u64("warp.ageRank", warp.ageRank);
         ar.u64("warp.regBytes", warp.regBytes);
         ar.b("warp.active", warp.active);
@@ -465,7 +469,9 @@ SmCore::state(Ar &ar, const Application &app)
             warp.prog = nullptr;   // re-resolved from the block table
     }
     ar.seq("sm.freeSlots", freeSlots_,
-           [&](WarpSlot &slot) { ar.i64("sm.freeSlot", slot); });
+           [&](WarpSlot &slot) {
+               ar.index("sm.freeSlot", slot, warps_.size());
+           });
     for (BlockState &block : blocks_) {
         ar.b("blk.live", block.live);
         ar.i64("blk.id", block.blockId);
@@ -475,7 +481,9 @@ SmCore::state(Ar &ar, const Application &app)
         ar.i64("blk.warpsExited", block.warpsExited);
         ar.i64("blk.barrier", block.barrierArrived);
         ar.seq("blk.slots", block.slots,
-               [&](WarpSlot &slot) { ar.i64("blk.slot", slot); });
+               [&](WarpSlot &slot) {
+                   ar.index("blk.slot", slot, warps_.size());
+               });
         if constexpr (Ar::kLoading) {
             block.kernel = app.kernelAt(kernel);
             if (block.live && !block.kernel)
@@ -489,11 +497,6 @@ SmCore::state(Ar &ar, const Application &app)
             if (!block.live)
                 continue;
             for (WarpSlot slot : block.slots) {
-                if (slot < 0
-                    || slot >= static_cast<WarpSlot>(warps_.size()))
-                    scsim_throw(CacheError,
-                                "snapshot: warp slot %d out of range",
-                                slot);
                 WarpContext &warp =
                     warps_[static_cast<std::size_t>(slot)];
                 if (warp.warpInBlock < 0
@@ -508,18 +511,162 @@ SmCore::state(Ar &ar, const Application &app)
     for (auto &cluster : clusters_)
         cluster->state(ar);
     assigner_->state(ar);
-    for (std::uint32_t &used : regBytesUsed_)
-        ar.u64("sm.regBytesUsed", used);
-    ar.u64("sm.smemUsed", smemUsed_);
-    ar.i64("sm.activeBlocks", activeBlocks_);
     // The writeback min-heap is serialized as its backing array, so a
     // restore reproduces the exact pop order of equal-cycle events.
     ar.seq("sm.events", events_, [&](RegWriteEvent &ev) {
         ar.u64("ev.when", ev.when);
-        ar.i64("ev.warp", ev.warp);
-        ar.i64("ev.reg", ev.reg);
+        ar.index("ev.warp", ev.warp, warps_.size());
+        ar.index("ev.reg", ev.reg, Scoreboard::kMaxRegs);
     });
     ar.b("sm.hadWork", hadWork_);
+}
+
+namespace {
+
+[[noreturn]] void
+rejectRestore(const char *key, const char *what, long long v)
+{
+    scsim_throw(CacheError, "snapshot field '%s': %s (%lld)", key, what,
+                v);
+}
+
+} // namespace
+
+void
+SmCore::finishRestore(Cycle now)
+{
+    // Every slot is held exactly once: by a live block or the free list.
+    std::vector<int> held(warps_.size(), 0);
+    std::fill(regBytesUsed_.begin(), regBytesUsed_.end(), 0u);
+    smemUsed_ = 0;
+    activeBlocks_ = 0;
+    for (std::size_t b = 0; b < blocks_.size(); ++b) {
+        const BlockState &block = blocks_[b];
+        if (!block.live)
+            continue;
+        const KernelDesc &kernel = *block.kernel;
+        if (block.warpsTotal != kernel.warpsPerBlock
+            || block.slots.size()
+                   != static_cast<std::size_t>(block.warpsTotal))
+            rejectRestore("blk.warpsTotal", "block size is not its kernel's",
+                          block.warpsTotal);
+        int exited = 0, atBarrier = 0;
+        for (WarpSlot slot : block.slots) {
+            const WarpContext &warp = warps_[static_cast<std::size_t>(slot)];
+            if (!warp.active || warp.blockSeq != static_cast<int>(b)
+                || held[static_cast<std::size_t>(slot)]++)
+                rejectRestore("blk.slot", "slot is not this block's warp",
+                              slot);
+            if (warp.cluster < 0)
+                rejectRestore("warp.cluster", "live warp on no sub-core",
+                              slot);
+            if (warp.regBytes != kernel.regBytesPerWarp())
+                rejectRestore("warp.regBytes", "not the kernel's footprint",
+                              warp.regBytes);
+            if (warp.pc > warp.prog->length()
+                || (!warp.exited && warp.pc == warp.prog->length()))
+                rejectRestore("warp.pc", "past the warp's program", warp.pc);
+            if (warp.atBarrier && warp.exited)
+                rejectRestore("warp.atBarrier", "exited warp at a barrier",
+                              slot);
+            exited += warp.exited;
+            atBarrier += warp.atBarrier;
+            regBytesUsed_[static_cast<std::size_t>(warp.cluster)] +=
+                warp.regBytes;
+        }
+        // A block whose warps all exited, or a full barrier, would
+        // already have been retired or released.
+        if (exited != block.warpsExited || exited >= block.warpsTotal)
+            rejectRestore("blk.warpsExited", "exit count is not the warps'",
+                          block.warpsExited);
+        if (atBarrier != block.barrierArrived
+            || (atBarrier > 0 && atBarrier >= block.warpsTotal - exited))
+            rejectRestore("blk.barrier", "barrier count is not the warps'",
+                          block.barrierArrived);
+        smemUsed_ += kernel.smemBytesPerBlock;
+        ++activeBlocks_;
+    }
+    for (WarpSlot slot : freeSlots_)
+        if (warps_[static_cast<std::size_t>(slot)].active
+            || held[static_cast<std::size_t>(slot)]++)
+            rejectRestore("sm.freeSlot", "slot is not free", slot);
+    for (std::size_t w = 0; w < warps_.size(); ++w)
+        if (held[w] != 1)
+            rejectRestore("warp.active", "slot neither free nor a block's",
+                          static_cast<long long>(w));
+
+    // Every live warp sits in its own scheduler's table, once.
+    std::vector<int> listed(warps_.size(), 0);
+    for (std::size_t c = 0; c < clusters_.size(); ++c) {
+        const IssueCluster &cluster = *clusters_[c];
+        for (int s = 0; s < cluster.numSchedulers(); ++s)
+            for (WarpSlot slot : cluster.warpsOf(s)) {
+                const WarpContext &warp =
+                    warps_[static_cast<std::size_t>(slot)];
+                if (!warp.active || warp.cluster != static_cast<int>(c)
+                    || warp.schedInCluster != s
+                    || listed[static_cast<std::size_t>(slot)]++)
+                    rejectRestore("ic.slot", "warp is not this scheduler's",
+                                  slot);
+            }
+    }
+
+    // Register writes in flight — staged in a collector unit, waiting
+    // in the writeback heap or queued at a bank — are exactly the
+    // registers each warp's scoreboard holds pending, once each.
+    std::vector<std::bitset<Scoreboard::kMaxRegs>> inFlight(warps_.size());
+    auto inFlightWrite = [&](const char *key, WarpSlot w, RegIndex reg) {
+        if (reg == kNoReg)
+            return;
+        auto &regs = inFlight[static_cast<std::size_t>(w)];
+        if (regs.test(static_cast<std::size_t>(reg)))
+            rejectRestore(key, "register written twice in flight", reg);
+        regs.set(static_cast<std::size_t>(reg));
+    };
+    for (std::size_t c = 0; c < clusters_.size(); ++c) {
+        IssueCluster &cluster = *clusters_[c];
+        cluster.checkRestored(now);
+        OperandCollector &collector = cluster.collector();
+        for (int i = 0; i < collector.size(); ++i) {
+            const CollectorUnit &cu = collector.unit(i);
+            if (!cu.busy)
+                continue;
+            const WarpContext &warp =
+                warps_[static_cast<std::size_t>(cu.warp)];
+            if (!warp.active || warp.cluster != static_cast<int>(c)
+                || cu.pc >= warp.pc)
+                rejectRestore("cu.pc", "not an instruction its warp issued",
+                              cu.pc);
+            collector.restage(i, warp.prog->code[cu.pc]);
+            inFlightWrite("cu.pc", cu.warp, cu.inst.dst);
+        }
+        for (int b = 0; b < cluster.arbiter().numBanks(); ++b)
+            for (const WriteRequest &req : cluster.arbiter().writeQueue(b))
+                inFlightWrite("rf.write.reg", req.warp, req.reg);
+    }
+    for (const RegWriteEvent &ev : events_) {
+        if (ev.when < now)
+            rejectRestore("ev.when", "writeback before the snapshot cycle",
+                          static_cast<long long>(ev.when));
+        inFlightWrite("ev.reg", ev.warp, ev.reg);
+    }
+    if (!std::is_heap(events_.begin(), events_.end(),
+                      std::greater<RegWriteEvent>()))
+        rejectRestore("ev.when", "writeback heap out of order",
+                      static_cast<long long>(events_.size()));
+    for (std::size_t w = 0; w < warps_.size(); ++w) {
+        const WarpContext &warp = warps_[w];
+        if (warp.active && !listed[w])
+            rejectRestore("warp.cluster", "live warp on no scheduler",
+                          static_cast<long long>(w));
+        if (warp.scoreboard.pendingSet() != inFlight[w]
+            || (!warp.active && warp.scoreboard.anyPending()))
+            rejectRestore("sb.word", "pending registers are not the writes "
+                          "in flight", static_cast<long long>(w));
+        if (warp.sbBlocked && !warp.scoreboard.anyPending())
+            rejectRestore("warp.sbBlocked", "blocked with nothing pending",
+                          static_cast<long long>(w));
+    }
 }
 
 template void SmCore::state(StateWriter &, const Application &);

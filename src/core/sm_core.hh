@@ -67,6 +67,16 @@ class SmCore
      */
     template <class Ar> void state(Ar &ar, const Application &app);
 
+    /**
+     * After a load: check what no single field can — that warps,
+     * blocks, scheduler tables, collector units, queued register
+     * traffic and scoreboards describe one machine at cycle @p now —
+     * and recount the derived occupancy counters.  Throws CacheError
+     * naming the field that disagrees, so a resumed run can neither
+     * index out of bounds nor stall on state no run produces.
+     */
+    void finishRestore(Cycle now);
+
     // ---- callbacks used by IssueCluster -------------------------------
     WarpContext *warpTable() { return warps_.data(); }
     const WarpContext *warpTable() const { return warps_.data(); }

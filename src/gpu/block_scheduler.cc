@@ -73,7 +73,6 @@ BlockScheduler::state(Ar &ar, const Application &app)
     ar.seq("bs.queues", queues_, [&](KernelQueue &q) {
         std::int64_t kernel = Ar::kLoading ? 0 : app.indexOf(q.kernel);
         ar.i64("bs.kernel", kernel);
-        ar.i64("bs.nextBlock", q.nextBlock);
         if constexpr (Ar::kLoading) {
             q.kernel = app.kernelAt(kernel);
             if (!q.kernel)
@@ -81,6 +80,9 @@ BlockScheduler::state(Ar &ar, const Application &app)
                             "snapshot: queued kernel index %lld out of "
                             "range", static_cast<long long>(kernel));
         }
+        // numBlocks itself: every block of the kernel launched.
+        ar.index("bs.nextBlock", q.nextBlock,
+                 static_cast<std::size_t>(q.kernel->numBlocks) + 1);
     });
     ar.u64("bs.rrSm", rrSm_);
     ar.u64("bs.rrKernel", rrKernel_);

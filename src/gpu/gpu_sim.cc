@@ -264,17 +264,16 @@ void
 GpuSim::state(Ar &ar, Cycle &now)
 {
     ar.b("run.concurrent", concurrent_);
-    ar.u64("run.kernelIdx", kernelIdx_);
+    ar.index("run.kernelIdx", kernelIdx_, app_->kernels.size());
     ar.u64("run.kernelStart", kernelStart_);
     ar.u64("run.now", now);
     ar.u64("run.lastProgress", lastProgress_);
     if constexpr (Ar::kLoading)
-        if (kernelIdx_ >= app_->kernels.size())
+        if (kernelStart_ > now || lastProgress_ > now)
             scsim_throw(CacheError,
-                        "snapshot: kernel index %zu out of range (%zu "
-                        "kernels)",
-                        kernelIdx_, app_->kernels.size());
-    // SimStats rides along as one escaped line of its own wire text;
+                        "snapshot: kernel start or last progress after "
+                        "the snapshot cycle");
+    // SimStats rides along as one string field of its own wire text;
     // the trace schema covers the partially filled trailing window
     // the stats payload (completed samples only) omits.
     std::string statsText;
@@ -286,20 +285,27 @@ GpuSim::state(Ar &ar, Cycle &now)
         if (!parseStatsPayload(statsText, restored))
             scsim_throw(CacheError, "snapshot: malformed stats payload");
         stats_ = std::move(restored);
-        if (stats_.issuePerScheduler.size()
-                != static_cast<std::size_t>(cfg_.numSms)
-            || (cfg_.numSms > 0
-                && stats_.issuePerScheduler[0].size()
-                       != static_cast<std::size_t>(cfg_.schedulersPerSm)))
+        // Every row: noteIssue() indexes them all.
+        bool shaped = stats_.issuePerScheduler.size()
+                          == static_cast<std::size_t>(cfg_.numSms)
+                      && stats_.rfReadTrace.window() == cfg_.rfTraceWindow;
+        for (const auto &row : stats_.issuePerScheduler)
+            shaped = shaped
+                     && row.size()
+                            == static_cast<std::size_t>(cfg_.schedulersPerSm);
+        if (!shaped)
             scsim_throw(CacheError,
-                        "snapshot: issue matrix shape does not match the "
-                        "configuration");
+                        "snapshot: issue matrix shape or trace window does "
+                        "not match the configuration");
     }
     stats_.rfReadTrace.state(ar);
     mem_.state(ar);
     blockSched_.state(ar, *app_);
     for (auto &sm : sms_)
         sm->state(ar, *app_);
+    if constexpr (Ar::kLoading)
+        for (auto &sm : sms_)
+            sm->finishRestore(now);
 }
 
 std::string

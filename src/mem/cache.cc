@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.hh"
@@ -84,10 +85,28 @@ Cache::state(Ar &ar)
     ar.u64("cache.tick", tick_);
     ar.u64("cache.accesses", accesses_);
     ar.u64("cache.misses", misses_);
-    for (Line &line : lines_) {
-        ar.b("line.valid", line.valid);
+    // Lines are never invalidated once filled, so only the valid ones
+    // are stored, each as the gap from the previous stored index.
+    std::vector<std::size_t> filled;   // writer: the valid indices
+    if constexpr (Ar::kLoading) {
+        std::fill(lines_.begin(), lines_.end(), Line{});
+    } else {
+        for (std::size_t i = 0; i < lines_.size(); ++i)
+            if (lines_[i].valid)
+                filled.push_back(i);
+    }
+    std::uint64_t valid = filled.size();
+    ar.u64("cache.valid", valid);
+    std::size_t next = 0;   // first index the next gap counts from
+    for (std::uint64_t i = 0; i < valid; ++i) {
+        std::size_t gap = Ar::kLoading ? 0 : filled[i] - next;
+        ar.index("line.gap", gap, lines_.size() - next);
+        Line &line = lines_[next + gap];
+        next += gap + 1;
         ar.u64("line.tag", line.tag);
         ar.u64("line.lastUse", line.lastUse);
+        if constexpr (Ar::kLoading)
+            line.valid = true;
     }
 }
 

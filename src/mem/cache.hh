@@ -42,7 +42,7 @@ class Cache
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t misses() const { return misses_; }
 
-    /** Checkpoint schema: tag array + LRU clock + counters. */
+    /** Checkpoint schema: LRU clock, counters and the valid lines. */
     template <class Ar> void state(Ar &ar);
 
   private:

@@ -117,6 +117,12 @@ MemSystem::state(Ar &ar)
     l2_.state(ar);
     ar.f64("mem.l2Free", l2Free_);
     ar.f64("mem.dramFree", dramFree_);
+    if constexpr (Ar::kLoading)
+        for (double t : { l2Free_, dramFree_ })
+            if (!(t >= 0.0 && t < 0x1p53))   // NaN fails too
+                scsim_throw(CacheError,
+                            "snapshot field 'mem.l2Free'/'mem.dramFree': "
+                            "%g is not a cycle", t);
     ar.u64("mem.l1Accesses", l1Accesses_);
     ar.u64("mem.l1Misses", l1Misses_);
 }

@@ -519,9 +519,9 @@ decodeJobResult(const std::string &text, JobResult &out)
 std::string
 serializeSnapshot(std::uint64_t jobKey, const std::string &simState)
 {
-    // First payload line pins the job key; the simulator state (its
-    // own line-oriented `key value` text) follows verbatim, so the
-    // record round-trips to the byte.
+    // First payload line pins the job key; the simulator state (a
+    // binary StateWriter payload) follows verbatim, so the record
+    // round-trips to the byte.
     std::string payload;
     putLine(payload, "key", keyToHex(jobKey));
     payload += simState;

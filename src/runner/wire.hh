@@ -52,7 +52,7 @@ using StatsDecode = WireDecode;
 inline constexpr std::uint32_t kJobWireVersion = 1;
 
 /** Version of the mid-run snapshot record (`scsim-snapshot`). */
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /** `<magic> v<version> fnv1a <checksum>\n` + payload. */
 std::string frameRecord(const char *magic, std::uint32_t version,
@@ -173,9 +173,10 @@ WireDecode decodeJobResult(const std::string &text, JobResult &out);
 // ---- Snapshot records (mid-run checkpoint files) ----------------------
 
 /**
- * Framed record holding a mid-run simulator snapshot: the key of the
- * job it belongs to (a resume refuses a snapshot for any other job)
- * plus GpuSim's serialized run state, verbatim.  Like every other
+ * Framed record holding a mid-run simulator snapshot: a `key <hex>`
+ * line naming the job it belongs to (a resume refuses a snapshot for
+ * any other job), then GpuSim's serialized run state verbatim — a
+ * binary field stream (common/state_io.hh), not text lines.  Like every other
  * record, damage decodes as Corrupt and an older/newer format as
  * VersionSkew — both of which the resume path treats as "no snapshot:
  * start cold", never as a job failure.

@@ -7,12 +7,15 @@
  * (a mid-run snapshot resumed on a fresh simulator must reproduce the
  * golden fingerprint of an uninterrupted run, for every design point),
  * resume of state that matrix never reaches (byte-identical later
- * snapshots), rejection of snapshot values too wide for their field,
- * the `run-job` cold-start fallback for every damage class (truncated
- * frame, flipped checksum byte, bumped version, foreign job key,
- * unusable payload), the injected-ENOSPC degrade paths for snapshot
- * and journal writes, and the `version` / `checkpoint --verify` CLI
- * surface.
+ * snapshots), rejection of snapshot values too wide for their field
+ * and of index fields outside the machine (one case per class), the
+ * `run-job` cold-start fallback for every damage class (truncated
+ * frame, flipped checksum byte, bumped version, a v1 text snapshot
+ * from an older build, foreign job key, unusable payload), the
+ * injected-ENOSPC degrade paths for snapshot and journal writes, and
+ * the `version` / `checkpoint --file [--verify]` CLI surface.  Fields
+ * are located in the binary payload through the schema-less decoder,
+ * never by byte patterns.
  *
  * Like `isolation`, the subprocess tests drive the real CLI binary
  * (SCSIM_CLI_PATH); the golden matrix reuses the engine goldens
@@ -23,8 +26,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -35,6 +40,7 @@
 #include "common/fault_inject.hh"
 #include "common/rng.hh"
 #include "common/sim_error.hh"
+#include "common/state_io.hh"
 #include "runner/design.hh"
 #include "runner/job_key.hh"
 #include "runner/journal.hh"
@@ -164,6 +170,56 @@ loadGoldens(const char *path)
     return out;
 }
 
+// ---- hand-editing a binary state payload --------------------------------
+// Fields are found through the schema-less walk; the varint encoder is
+// written out here, so these tests also cross-check the encoding.
+
+/** Minimal-length LEB128 encoding of @p v. */
+std::string
+encodeVarint(std::uint64_t v)
+{
+    std::string out;
+    while (v >= 0x80) {
+        out += static_cast<char>(v | 0x80);
+        v >>= 7;
+    }
+    out += static_cast<char>(v);
+    return out;
+}
+
+/** Zigzag form of a signed value, as `i` fields store it. */
+std::uint64_t
+zigzag(std::int64_t v)
+{
+    return (static_cast<std::uint64_t>(v) << 1)
+           ^ static_cast<std::uint64_t>(v >> 63);
+}
+
+/** The first field named @p key for which @p pred holds, if any. */
+std::optional<StateReader::Field>
+findField(const std::string &payload, std::string_view key,
+          const std::function<bool(const StateReader::Field &)> &pred =
+              nullptr)
+{
+    StateReader r(payload);
+    StateReader::Field f;
+    while (r.next(f))
+        if (f.key == key && (!pred || pred(f)))
+            return f;
+    return std::nullopt;
+}
+
+/** @p payload with integer field @p f's value replaced by @p v. */
+std::string
+patchInteger(std::string payload, const StateReader::Field &f,
+             std::int64_t v)
+{
+    std::uint64_t raw = f.type == StateType::I64
+                            ? zigzag(v)
+                            : static_cast<std::uint64_t>(v);
+    return payload.replace(f.at, f.end - f.at, encodeVarint(raw));
+}
+
 /** The Application wrapping SimEngine::run(KernelDesc) performs. */
 Application
 wrapKernel(const KernelDesc &kernel)
@@ -227,19 +283,29 @@ TEST_F(CheckpointTest, FlippedSnapshotByteIsCorrupt)
     EXPECT_EQ(decodeSnapshot(frame, key, state), WireDecode::Corrupt);
 }
 
+/** @p frame with its ` v<kSnapshotVersion> ` header token set to @p v. */
+std::string
+withSnapshotVersion(std::string frame, std::uint32_t v)
+{
+    const std::string cur =
+        " v" + std::to_string(runner::kSnapshotVersion) + " ";
+    auto pos = frame.find(cur);
+    EXPECT_NE(pos, std::string::npos) << "no" << cur << "in the header";
+    if (pos != std::string::npos)
+        frame.replace(pos, cur.size(), " v" + std::to_string(v) + " ");
+    return frame;
+}
+
 TEST_F(CheckpointTest, BumpedSnapshotVersionIsVersionSkew)
 {
-    std::string frame = serializeSnapshot(7, "some state lines\n");
-    auto pos = frame.find(" v1 ");
-    ASSERT_NE(pos, std::string::npos);
-    frame.replace(pos, 4, " v2 ");
+    std::string frame = withSnapshotVersion(
+        serializeSnapshot(7, "some state lines\n"),
+        runner::kSnapshotVersion + 1);
 
     std::uint64_t key = 0;
     std::string state;
     EXPECT_EQ(decodeSnapshot(frame, key, state),
               WireDecode::VersionSkew);
-    EXPECT_EQ(runner::kSnapshotVersion, 1u)
-        << "bump the hand-crafted v2 header above with the format";
 }
 
 // ---- SimEngine checkpoint observer ------------------------------------
@@ -413,11 +479,9 @@ TEST_F(CheckpointTest, ResumeRejectsValueTooWideForItsField)
     std::string payload = snaps.begin()->second;
 
     // warp.pc is 32 bits wide: 2^32 must be rejected, not truncated.
-    std::size_t at = payload.find("\nwarp.pc ");
-    ASSERT_NE(at, std::string::npos);
-    std::size_t value = at + std::string("\nwarp.pc ").size();
-    payload.replace(value, payload.find('\n', value) - value,
-                    "4294967296");
+    auto pc = findField(payload, "warp.pc");
+    ASSERT_TRUE(pc.has_value());
+    payload = patchInteger(payload, *pc, std::int64_t(1) << 32);
 
     SimEngine resumed(goldenBase());
     try {
@@ -429,6 +493,111 @@ TEST_F(CheckpointTest, ResumeRejectsValueTooWideForItsField)
             << e.what();
     }
 }
+
+// ---- index fields are checked against the machine they index ----------
+
+/** One index field per stateful class, and the first index it lacks. */
+struct IndexCase
+{
+    const char *owner;        //!< class whose schema holds the field
+    const char *key;
+    std::int64_t bad;
+};
+
+void
+PrintTo(const IndexCase &c, std::ostream *os)
+{
+    *os << c.owner << " " << c.key;
+}
+
+/** Shuffle assignment, so assign.perm is in the snapshot. */
+GpuConfig
+indexCfg()
+{
+    GpuConfig cfg = goldenBase();
+    cfg.assign = AssignPolicy::Shuffle;
+    return cfg;
+}
+
+/** A short app with memory traffic and register-bank contention. */
+AppSpec
+indexApp()
+{
+    return findApp("tpcU-q8", 0.05);
+}
+
+/** Mid-run snapshots: warps, events, bank queues, busy CUs, caches. */
+const std::vector<std::string> &
+indexSnapshots()
+{
+    static const std::vector<std::string> snaps = [] {
+        std::vector<std::string> out;
+        SimEngine engine(indexCfg());
+        sim::EngineObserver obs;
+        obs.onCheckpoint = [&](const std::string &payload, Cycle) {
+            out.push_back(payload);
+        };
+        engine.addObserver(std::move(obs));
+        engine.setCheckpointInterval(500);
+        engine.runApp(indexApp(), 0, false);
+        return out;
+    }();
+    return snaps;
+}
+
+class SnapshotIndexTest : public ::testing::TestWithParam<IndexCase>
+{
+};
+
+TEST_P(SnapshotIndexTest, ResumeRejectsIndexOutsideTheMachine)
+{
+    const IndexCase &c = GetParam();
+    // A field that holds an index now (a free CU's warp is kNoWarp).
+    std::string payload;
+    std::optional<StateReader::Field> field;
+    for (const std::string &snap : indexSnapshots()) {
+        field = findField(snap, c.key,
+                                [](const StateReader::Field &f) {
+                                    return f.type != StateType::I64
+                                           || f.i >= 0;
+                                });
+        if (field) {
+            payload = patchInteger(snap, *field, c.bad);
+            break;
+        }
+    }
+    ASSERT_TRUE(field.has_value()) << "no snapshot holds " << c.key;
+
+    SimEngine resumed(indexCfg());
+    try {
+        resumed.resumeApp(indexApp(), 0, payload);
+        ADD_FAILURE() << c.key << " = " << c.bad << " was accepted";
+    } catch (const CacheError &e) {
+        EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos)
+            << e.what();
+    }
+}
+
+// Each bad value is the first index past the end (volta, 2 SMs).
+INSTANTIATE_TEST_SUITE_P(
+    Classes, SnapshotIndexTest,
+    ::testing::Values(
+        IndexCase{ "SmCore", "ev.warp", indexCfg().maxWarpsPerSm },
+        IndexCase{ "SmCore_freeSlot", "sm.freeSlot",
+                   indexCfg().maxWarpsPerSm },
+        IndexCase{ "Scoreboard_register", "ev.reg", 256 },
+        IndexCase{ "IssueCluster", "ic.slot", indexCfg().maxWarpsPerSm },
+        IndexCase{ "RegFileArbiter", "rf.read.cu",
+                   indexCfg().cusPerCluster() },
+        IndexCase{ "RegFileArbiter_write", "rf.write.warp",
+                   indexCfg().maxWarpsPerSm },
+        IndexCase{ "OperandCollector", "cu.warp",
+                   indexCfg().maxWarpsPerSm },
+        IndexCase{ "ShuffleAssigner", "assign.perm", indexCfg().subCores },
+        IndexCase{ "Cache", "line.gap", std::int64_t(1) << 40 }),
+    [](const ::testing::TestParamInfo<IndexCase> &info) {
+        return std::string(info.param.owner);
+    });
 
 // ---- run-job cold-start fallback for every damage class ---------------
 
@@ -500,12 +669,42 @@ TEST_F(CheckpointTest, RunJobStartsColdOnFlippedChecksumByte)
 
 TEST_F(CheckpointTest, RunJobStartsColdOnVersionSkewedSnapshot)
 {
-    std::string frame =
-        serializeSnapshot(jobKey(tinyJob()), "run.concurrent b 0\n");
-    auto pos = frame.find(" v1 ");
-    ASSERT_NE(pos, std::string::npos);
-    frame.replace(pos, 4, " v9 ");
+    std::string frame = withSnapshotVersion(
+        serializeSnapshot(jobKey(tinyJob()), "run.concurrent b 0\n"),
+        runner::kSnapshotVersion + 7);
     expectColdStartRecovery("skewed", frame);
+}
+
+/** Mid-run state payloads of @p job, every @p every cycles. */
+std::vector<std::string>
+jobSnapshots(const SimJob &job, Cycle every)
+{
+    std::vector<std::string> snaps;
+    SimEngine engine(job.cfg);
+    sim::EngineObserver obs;
+    obs.onCheckpoint = [&](const std::string &payload, Cycle) {
+        snaps.push_back(payload);
+    };
+    engine.addObserver(std::move(obs));
+    engine.setCheckpointInterval(every);
+    engine.runApp(job.app, job.salt, job.concurrent);
+    return snaps;
+}
+
+TEST_F(CheckpointTest, RunJobStartsColdOnTextSnapshotFromAnOlderBuild)
+{
+    // What a v1 build left behind: the same fields as `key value`
+    // text lines under a v1 frame.  This build must quarantine it and
+    // still reach the uninterrupted result.
+    SimJob job = tinyJob();
+    std::vector<std::string> snaps = jobSnapshots(job, 50);
+    ASSERT_FALSE(snaps.empty());
+    std::string text = stateText(snaps[snaps.size() / 2]);
+    ASSERT_EQ(text.compare(0, 17, "run.concurrent 0\n"), 0) << text;
+    expectColdStartRecovery(
+        "v1text",
+        runner::frameRecord("scsim-snapshot", 1,
+                            "key " + keyToHex(jobKey(job)) + "\n" + text));
 }
 
 TEST_F(CheckpointTest, RunJobStartsColdOnForeignJobSnapshot)
@@ -611,7 +810,9 @@ TEST_F(CheckpointTest, VersionPrintsSnapshotFormat)
     SubprocessResult sub =
         runSubprocess({ SCSIM_CLI_PATH, "version" }, "", 30.0);
     ASSERT_TRUE(sub.exitedCleanly());
-    EXPECT_NE(sub.stdoutText.find("snapshot format: v1"),
+    EXPECT_NE(sub.stdoutText.find(
+                  "snapshot format: v"
+                  + std::to_string(runner::kSnapshotVersion) + "\n"),
               std::string::npos)
         << sub.stdoutText;
 }
@@ -619,24 +820,49 @@ TEST_F(CheckpointTest, VersionPrintsSnapshotFormat)
 TEST_F(CheckpointTest, CheckpointVerifyAcceptsGoodRejectsBad)
 {
     std::string dir = freshDir("verify");
-    std::string good = dir + "/good.snap";
-    std::string bad = dir + "/bad.snap";
-    std::string frame = serializeSnapshot(42, "run.concurrent b 0\n");
-    spew(good, frame);
+    std::vector<std::string> snaps = jobSnapshots(tinyJob(), 50);
+    ASSERT_FALSE(snaps.empty());
+    const std::string &state = snaps[snaps.size() / 2];
+    std::string frame = serializeSnapshot(42, state);
+    spew(dir + "/good.snap", frame);
     frame[frame.size() - 2] ^= 0x01;
-    spew(bad, frame);
+    spew(dir + "/bad.snap", frame);
+    // A valid frame around a cut-off field stream.
+    spew(dir + "/truncated.snap",
+         serializeSnapshot(42, state.substr(0, state.size() / 2)));
 
-    SubprocessResult ok = runSubprocess(
-        { SCSIM_CLI_PATH, "checkpoint", "--file", good, "--verify" },
-        "", 30.0);
+    auto cli = [&](const char *leaf, bool verify) {
+        std::vector<std::string> argv = { SCSIM_CLI_PATH, "checkpoint",
+                                          "--file", dir + "/" + leaf };
+        if (verify)
+            argv.push_back("--verify");
+        return runSubprocess(argv, "", 30.0);
+    };
+
+    SubprocessResult ok = cli("good.snap", true);
     EXPECT_TRUE(ok.exitedCleanly()) << ok.stderrTail;
 
-    SubprocessResult rej = runSubprocess(
-        { SCSIM_CLI_PATH, "checkpoint", "--file", bad, "--verify" },
-        "", 30.0);
-    EXPECT_EQ(rej.termSignal, 0);
-    EXPECT_NE(rej.exitCode, 0)
-        << "corrupt snapshot must fail verification";
+    for (const char *leaf : { "bad.snap", "truncated.snap" }) {
+        SubprocessResult rej = cli(leaf, true);
+        EXPECT_EQ(rej.termSignal, 0);
+        EXPECT_NE(rej.exitCode, 0)
+            << leaf << " must fail verification\n" << rej.stdoutText;
+    }
+
+    // Without --verify: the run cursor, decoded to `key value` text.
+    SubprocessResult show = cli("good.snap", false);
+    ASSERT_TRUE(show.exitedCleanly()) << show.stderrTail;
+    std::istringstream text(stateText(state));
+    std::string line;
+    for (const char *key : { "run.concurrent ", "run.kernelIdx ",
+                             "run.kernelStart ", "run.now ",
+                             "run.lastProgress " }) {
+        ASSERT_TRUE(std::getline(text, line));
+        EXPECT_EQ(line.rfind(key, 0), 0u) << line;
+        EXPECT_NE(show.stdoutText.find("  " + line + "\n"),
+                  std::string::npos)
+            << show.stdoutText;
+    }
 }
 
 } // namespace

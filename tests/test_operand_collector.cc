@@ -18,7 +18,7 @@ class CollectorTest : public ::testing::Test
 TEST_F(CollectorTest, AllocateEnqueuesDistinctReads)
 {
     Instruction fma = Instruction::alu(Opcode::FMA, 0, 0, 1, 2);
-    int cu = oc_.allocate(/*warp=*/0, fma, arb_, 5);
+    int cu = oc_.allocate(/*warp=*/0, fma, /*pc=*/0, arb_, 5);
     ASSERT_GE(cu, 0);
     EXPECT_EQ(oc_.freeCount(), 1);
     EXPECT_FALSE(oc_.unit(cu).ready());
@@ -30,7 +30,7 @@ TEST_F(CollectorTest, AllocateEnqueuesDistinctReads)
 TEST_F(CollectorTest, DuplicateRegistersShareOneRead)
 {
     Instruction sq = Instruction::alu(Opcode::FMUL, 1, 3, 3);
-    int cu = oc_.allocate(0, sq, arb_, 0);
+    int cu = oc_.allocate(0, sq, 0, arb_, 0);
     ASSERT_GE(cu, 0);
     EXPECT_EQ(arb_.readQueueLen(0) + arb_.readQueueLen(1), 1);
 
@@ -46,7 +46,7 @@ TEST_F(CollectorTest, DuplicateRegistersShareOneRead)
 TEST_F(CollectorTest, ReadyAfterAllOperandsArrive)
 {
     Instruction fma = Instruction::alu(Opcode::FMA, 0, 0, 1, 2);
-    int cu = oc_.allocate(0, fma, arb_, 0);
+    int cu = oc_.allocate(0, fma, 0, arb_, 0);
     ArbGrants g;
     // Two arbitration rounds drain the conflicting bank.
     arb_.arbitrate(g);
@@ -63,7 +63,7 @@ TEST_F(CollectorTest, ReadyAfterAllOperandsArrive)
 TEST_F(CollectorTest, ZeroSourceInstructionIsImmediatelyReady)
 {
     Instruction mov = Instruction::alu(Opcode::MOV, 4);
-    int cu = oc_.allocate(0, mov, arb_, 0);
+    int cu = oc_.allocate(0, mov, 0, arb_, 0);
     ASSERT_GE(cu, 0);
     EXPECT_TRUE(oc_.unit(cu).ready());
     EXPECT_FALSE(arb_.anyPending());
@@ -72,26 +72,26 @@ TEST_F(CollectorTest, ZeroSourceInstructionIsImmediatelyReady)
 TEST_F(CollectorTest, AllocateFailsWhenFull)
 {
     Instruction i = Instruction::alu(Opcode::IADD, 0, 1);
-    EXPECT_GE(oc_.allocate(0, i, arb_, 0), 0);
-    EXPECT_GE(oc_.allocate(1, i, arb_, 0), 0);
+    EXPECT_GE(oc_.allocate(0, i, 0, arb_, 0), 0);
+    EXPECT_GE(oc_.allocate(1, i, 0, arb_, 0), 0);
     EXPECT_FALSE(oc_.hasFree());
-    EXPECT_EQ(oc_.allocate(2, i, arb_, 0), -1);
+    EXPECT_EQ(oc_.allocate(2, i, 0, arb_, 0), -1);
 }
 
 TEST_F(CollectorTest, ReleaseRecycles)
 {
     Instruction i = Instruction::alu(Opcode::MOV, 4);
-    int cu = oc_.allocate(0, i, arb_, 0);
+    int cu = oc_.allocate(0, i, 0, arb_, 0);
     oc_.release(cu);
     EXPECT_EQ(oc_.freeCount(), 2);
-    EXPECT_GE(oc_.allocate(1, i, arb_, 0), 0);
+    EXPECT_GE(oc_.allocate(1, i, 0, arb_, 0), 0);
 }
 
 TEST_F(CollectorTest, BanksIdleQuery)
 {
     Instruction i = Instruction::alu(Opcode::FADD, 0, 1, 2);
     EXPECT_TRUE(oc_.banksIdle(0, i, arb_));
-    oc_.allocate(0, i, arb_, 0);   // reads now queued
+    oc_.allocate(0, i, 0, arb_, 0);   // reads now queued
     EXPECT_FALSE(oc_.banksIdle(0, i, arb_));
 }
 
@@ -99,7 +99,7 @@ TEST_F(CollectorTest, SlotChangesBankMapping)
 {
     // Same instruction on an odd slot flips the banks.
     Instruction i = Instruction::alu(Opcode::FADD, 0, 2, 4);
-    oc_.allocate(/*warp=*/1, i, arb_, 0);
+    oc_.allocate(/*warp=*/1, i, 0, arb_, 0);
     EXPECT_EQ(arb_.readQueueLen(1), 2);   // (2+1)%2 = (4+1)%2 = 1
     EXPECT_EQ(arb_.readQueueLen(0), 0);
 }
@@ -107,7 +107,7 @@ TEST_F(CollectorTest, SlotChangesBankMapping)
 TEST_F(CollectorTest, ResetFreesEverything)
 {
     Instruction i = Instruction::alu(Opcode::IADD, 0, 1);
-    oc_.allocate(0, i, arb_, 0);
+    oc_.allocate(0, i, 0, arb_, 0);
     oc_.reset();
     EXPECT_EQ(oc_.freeCount(), 2);
     EXPECT_FALSE(oc_.unit(0).busy);
@@ -121,7 +121,7 @@ TEST_F(CollectorTest, DeathOnBadRelease)
 TEST_F(CollectorTest, DeathOnDuplicateOperandArrival)
 {
     Instruction i = Instruction::alu(Opcode::IADD, 0, 1);
-    int cu = oc_.allocate(0, i, arb_, 0);
+    int cu = oc_.allocate(0, i, 0, arb_, 0);
     oc_.operandArrived(cu, 1u);
     EXPECT_DEATH(oc_.operandArrived(cu, 1u), "twice");
 }

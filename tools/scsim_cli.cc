@@ -72,6 +72,7 @@
 #include "common/fault_inject.hh"
 #include "common/io_util.hh"
 #include "common/logging.hh"
+#include "common/state_io.hh"
 #include "farm/farm_client.hh"
 #include "farm/farm_server.hh"
 #include "farm/protocol.hh"
@@ -982,6 +983,8 @@ cmdVersion()
  *
  *   checkpoint --file SNAP            show header + run cursor
  *   checkpoint --file SNAP --verify   exit 0 iff the frame decodes
+ *                                     and its whole field stream
+ *                                     walks cleanly
  *   checkpoint --file SNAP --restore  read an scsim-job record on
  *                                     stdin, finish the interrupted
  *                                     run, print the final stats
@@ -1008,10 +1011,25 @@ cmdCheckpoint(const Args &args)
     std::uint64_t snapKey = 0;
     std::string simState;
     WireDecode d = decodeSnapshot(text, snapKey, simState);
+    // The field stream describes itself; decode it whole even when the
+    // frame checks out, so a cut-off or garbled state fails here.
+    std::string fields;
+    std::string fieldError;
+    if (d == WireDecode::Ok) {
+        try {
+            fields = stateText(simState);
+        } catch (const CacheError &e) {
+            fieldError = e.what();
+        }
+    }
 
     if (args.options.count("verify")) {
         switch (d) {
           case WireDecode::Ok:
+            if (!fieldError.empty()) {
+                std::printf("corrupt state: %s\n", fieldError.c_str());
+                return 1;
+            }
             std::printf("ok: job %s, %zu state bytes\n",
                         keyToHex(snapKey).c_str(), simState.size());
             return 0;
@@ -1056,16 +1074,17 @@ cmdCheckpoint(const Args &args)
         return 0;
     }
 
-    // Default: show.  The run cursor is the first few state fields;
-    // print them without deserializing the whole machine.
+    // Default: show.  The run cursor is the first five state fields.
     std::printf("file           : %s\n", path.c_str());
     std::printf("job key        : %s\n", keyToHex(snapKey).c_str());
     std::printf("snapshot format: v%u\n", kSnapshotVersion);
     std::printf("state bytes    : %zu\n", simState.size());
-    std::istringstream in(simState);
+    std::istringstream in(fields);
     std::string line;
     for (int i = 0; i < 5 && std::getline(in, line); ++i)
         std::printf("  %s\n", line.c_str());
+    if (!fieldError.empty())
+        scsim_fatal("corrupt state: %s", fieldError.c_str());
     return 0;
 }
 
