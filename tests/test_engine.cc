@@ -8,7 +8,11 @@
  * the golden equivalence matrix: every design point on the micro
  * workloads must produce a SimStats fingerprint byte-identical to the
  * pre-refactor enum path (goldens captured from seed behavior in
- * tests/goldens/engine_fingerprints.txt).
+ * tests/goldens/engine_fingerprints.txt).  A second golden file,
+ * tests/goldens/suite_fingerprints.txt, pins suite apps on 8 SMs and
+ * the modes the micro matrix never reaches: the migration oracle, the
+ * shared warp pool, bank stealing, concurrent kernels and stale RBA
+ * bank-queue views.
  */
 
 #include <fstream>
@@ -25,6 +29,7 @@
 #include "sim/engine.hh"
 #include "sim/registry.hh"
 #include "workloads/microbench.hh"
+#include "workloads/suite.hh"
 
 namespace scsim {
 namespace {
@@ -281,6 +286,67 @@ TEST(EngineEquivalence, RegistryPathMatchesSeedFingerprints)
                 << "design '" << name << "' workload '" << w
                 << "' diverged from seed behavior";
         }
+    }
+}
+
+/** One pinned suite run: a configuration, an app and a mode. */
+struct SuiteCase
+{
+    std::string name;
+    GpuConfig cfg;
+    const char *app;
+    bool concurrent;
+};
+
+std::vector<SuiteCase>
+suiteCases()
+{
+    GpuConfig eight = GpuConfig::volta();
+    eight.numSms = 8;
+    GpuConfig migration = goldenBase();
+    migration.idealWarpMigration = true;
+    GpuConfig kepler = GpuConfig::keplerLike();   // sharedWarpPool
+    kepler.numSms = 2;
+    std::vector<SuiteCase> cases;
+    for (const char *app : { "tpcU-q8", "pb-histo" })
+        for (const char *design : { "Baseline", "Shuffle+RBA" })
+            cases.push_back({ std::string(app) + "/" + design + "/8sm",
+                              runner::designConfig(eight, design), app,
+                              false });
+    cases.push_back({ "tpcU-q3/migration/2sm", migration, "tpcU-q3",
+                      false });
+    cases.push_back({ "pb-sgemm/kepler/2sm", kepler, "pb-sgemm", false });
+    cases.push_back({ "tpcC-q6/BankStealing/2sm",
+                      runner::designConfig(goldenBase(), "BankStealing"),
+                      "tpcC-q6", false });
+    cases.push_back({ "tpcU-q8/concurrent/2sm", goldenBase(), "tpcU-q8",
+                      true });
+    GpuConfig stale = runner::designConfig(goldenBase(), "RBA");
+    stale.rbaScoreLatency = 4;   // RBA reads bank queues 4 cycles old
+    cases.push_back({ "tpcC-q6/RBA-latency4/2sm", stale, "tpcC-q6",
+                      false });
+    return cases;
+}
+
+TEST(EngineEquivalence, SuiteRunsMatchGoldenFingerprints)
+{
+    std::ifstream in(SCSIM_SUITE_GOLDENS);
+    ASSERT_TRUE(in.good()) << "missing goldens: " SCSIM_SUITE_GOLDENS;
+    std::map<std::string, std::string> goldens;
+    std::string name, hex;
+    while (std::getline(in, name, '\t') && std::getline(in, hex))
+        goldens[name] = hex;
+
+    std::vector<SuiteCase> cases = suiteCases();
+    EXPECT_EQ(goldens.size(), cases.size())
+        << "golden file must list every case once";
+    for (const SuiteCase &c : cases) {
+        SimStats s = SimEngine(c.cfg).runApp(findApp(c.app, 0.1), 0,
+                                             c.concurrent);
+        std::string got = sim::statsFingerprintHex(s);
+        EXPECT_EQ(got, goldens[c.name])
+            << "suite case diverged; its line would read\n"
+            << c.name << '\t' << got;
     }
 }
 
