@@ -58,6 +58,7 @@ IssueCluster::addWarp(int sched, WarpSlot slot, bool unchecked)
                             < cfg_.maxWarpsPerScheduler,
                  "scheduler table overflow");
     schedWarps_[idx].push_back(slot);
+    wake();
     return ageCounter_[idx]++;
 }
 
@@ -68,11 +69,16 @@ IssueCluster::removeWarp(int sched, WarpSlot slot)
     auto it = std::find(list.begin(), list.end(), slot);
     scsim_assert(it != list.end(), "removing unbound warp");
     list.erase(it);
+    wake();
 }
 
 bool
 IssueCluster::cycle(Cycle now, SmCore &sm)
 {
+    if (asleep_) {
+        sleepTick(sm.stats());
+        return false;
+    }
     // Dispatch first (CUs filled by last cycle's grants), then issue
     // into the freed CUs; newly pushed reads may be granted in the
     // same cycle, giving a 2-cycle best-case collector turnaround.
@@ -88,7 +94,41 @@ IssueCluster::cycle(Cycle now, SmCore &sm)
     for (int i = 0; i < collector_.size(); ++i)
         if (collector_.unit(i).busy)
             return true;
+    fallAsleep(sm);
     return false;
+}
+
+void
+IssueCluster::fallAsleep(const SmCore &sm)
+{
+    // Nothing issued, queued or busy: every warp left in the tables is
+    // sbBlocked or unschedulable, so an idle cycle's issue phase sees
+    // no candidate and classifies each scheduler by its sbBlocked
+    // warps alone (issue() below).  The shared pool counts no stalls.
+    asleep_ = true;
+    sleepStallScoreboard_ = 0;
+    sleepStallNoWarp_ = 0;
+    if (cfg_.sharedWarpPool)
+        return;
+    const WarpContext *warps = sm.warpTable();
+    for (const auto &list : schedWarps_) {
+        bool blocked = std::any_of(list.begin(), list.end(),
+                                   [&](WarpSlot slot) {
+                                       return warps[slot].sbBlocked;
+                                   });
+        ++(blocked ? sleepStallScoreboard_ : sleepStallNoWarp_);
+    }
+}
+
+void
+IssueCluster::sleepTick(SimStats &stats)
+{
+    stats.schedCycles += static_cast<std::uint64_t>(numSchedulers());
+    stats.stallScoreboard += sleepStallScoreboard_;
+    stats.stallNoWarp += sleepStallNoWarp_;
+    // The issue phase would snapshot the (empty) bank queues.
+    std::fill_n(qlenRing_.data() + head_ * numBanks_, numBanks_, 0);
+    head_ = (head_ + 1) % ringDepth_;
 }
 
 void
@@ -364,6 +404,7 @@ IssueCluster::reset()
     std::fill(ageCounter_.begin(), ageCounter_.end(), 0u);
     onIdleSkip();
     head_ = 0;
+    wake();
 }
 
 template <class Ar>
@@ -371,7 +412,9 @@ void
 IssueCluster::state(Ar &ar)
 {
     // grants_ and candidates_ are per-cycle scratch (cleared before
-    // every use) and are deliberately not part of the snapshot.
+    // every use) and are deliberately not part of the snapshot; nor
+    // is the sleep state, which a loaded cluster rebuilds by running
+    // one full cycle.
     const auto warps = static_cast<std::size_t>(cfg_.maxWarpsPerSm);
     arbiter_.state(ar, static_cast<std::size_t>(collector_.size()), warps);
     collector_.state(ar, warps);
@@ -386,6 +429,8 @@ IssueCluster::state(Ar &ar)
     for (int &qlen : qlenRing_)
         ar.i64("ic.qlen", qlen);
     ar.index("ic.head", head_, ringDepth_);
+    if constexpr (Ar::kLoading)
+        wake();
 }
 
 void

@@ -12,6 +12,11 @@
  * units to pipes -> issue from each scheduler (after recording the
  * bank-queue lengths for the RBA staleness model) -> arbitrate
  * register banks.
+ *
+ * A cluster whose cycle did nothing sleeps: until SmCore wakes it, a
+ * cycle only adds the stall counters and the empty queue snapshot that
+ * the full sequence would have produced, so sleeping is invisible in
+ * the stats and in the snapshot bytes.
  */
 
 #ifndef SCSIM_CORE_ISSUE_CLUSTER_HH
@@ -29,6 +34,7 @@
 namespace scsim {
 
 class SmCore;
+struct SimStats;
 
 class IssueCluster
 {
@@ -67,9 +73,18 @@ class IssueCluster
      * Advance one cycle.  @p sm provides warp state and callbacks.
      * @return true when the cluster did or could still do work this
      * cycle (issued, has queued bank requests, or holds busy CUs) —
-     * used by the idle-skip logic.
+     * used by the idle-skip logic.  A false return puts the cluster
+     * to sleep until wake().
      */
     bool cycle(Cycle now, SmCore &sm);
+
+    /**
+     * End a sleep.  SmCore calls it on every event that can give an
+     * idle cluster work: a write queued at its banks, a scoreboard
+     * write retired for one of its warps, or a barrier release;
+     * binding, unbinding, reset and snapshot load wake it too.
+     */
+    void wake() { asleep_ = false; }
 
     /** Idle cycles were skipped; queue history collapses to empty. */
     void onIdleSkip();
@@ -105,6 +120,12 @@ class IssueCluster
 
     void issueTo(Cycle now, SmCore &sm, int sched, WarpSlot slot);
 
+    /** Record what each idle cycle adds to the stall counters. */
+    void fallAsleep(const SmCore &sm);
+
+    /** One idle cycle's accounting, in O(1) per cluster. */
+    void sleepTick(SimStats &stats);
+
     const GpuConfig &cfg_;
     int id_;
     RegFileArbiter arbiter_;
@@ -124,6 +145,18 @@ class IssueCluster
     std::size_t ringDepth_ = 1;
     std::size_t numBanks_ = 0;
     std::size_t head_ = 0;
+
+    /**
+     * Derived state, not snapshotted: set when a cycle does nothing,
+     * cleared by wake().  While asleep, every warp in the tables is
+     * blocked on its scoreboard or unschedulable and no CU or bank
+     * request is in flight, so only a wake event can change that.
+     */
+    bool asleep_ = false;
+    /** Schedulers whose idle cycle counts as a scoreboard stall (some
+     *  warp in the table is sbBlocked) or as a no-warp stall. */
+    std::uint64_t sleepStallScoreboard_ = 0;
+    std::uint64_t sleepStallNoWarp_ = 0;
 
     ArbGrants grants_;
     std::vector<WarpSlot> candidates_;   //!< scratch, reused per cycle

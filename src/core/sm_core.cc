@@ -194,6 +194,7 @@ SmCore::processEvents(Cycle now)
             *clusters_[static_cast<std::size_t>(warp.cluster)];
         int bank = cluster.arbiter().bankOf(ev.reg, ev.warp);
         cluster.arbiter().pushWrite(bank, WriteRequest{ ev.warp, ev.reg });
+        cluster.wake();
     }
 }
 
@@ -332,6 +333,9 @@ SmCore::completeRegWrite(WarpSlot warp, RegIndex reg)
     WarpContext &w = warps_[static_cast<std::size_t>(warp)];
     w.scoreboard.completeWrite(reg);
     w.sbBlocked = false;
+    // Usually the granting cluster itself, but a warp the migration
+    // oracle moved may drain its writes through its old cluster.
+    clusters_[static_cast<std::size_t>(w.cluster)]->wake();
 }
 
 void
@@ -340,6 +344,7 @@ SmCore::releaseBarrier(BlockState &block)
     for (WarpSlot slot : block.slots) {
         WarpContext &warp = warps_[static_cast<std::size_t>(slot)];
         warp.atBarrier = false;
+        clusters_[static_cast<std::size_t>(warp.cluster)]->wake();
     }
     block.barrierArrived = 0;
     // Released warps in already-cycled clusters are runnable now.

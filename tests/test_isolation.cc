@@ -689,5 +689,25 @@ TEST_F(IsolationTest, ResumeAfterCrashDoesNotReRunAdoptedJobs)
     std::filesystem::remove_all(dir);
 }
 
+// ---- CLI usage --------------------------------------------------------
+
+TEST(CliUsage, HelpPrintsUsageAndExitsZero)
+{
+    for (std::vector<std::string> argv :
+         { std::vector<std::string>{ SCSIM_CLI_PATH, "--help" },
+           std::vector<std::string>{ SCSIM_CLI_PATH, "run", "--help" },
+           std::vector<std::string>{ SCSIM_CLI_PATH, "sweep", "--apps",
+                                     "tpcU-q1", "--help" } }) {
+        SubprocessResult sub = runSubprocess(argv, "", 30.0);
+        EXPECT_TRUE(sub.exitedCleanly())
+            << argv[1] << ": exit " << sub.exitCode << "\n"
+            << sub.stderrTail;
+        EXPECT_EQ(sub.stdoutText.rfind("usage: scsim_cli <command>", 0),
+                  0u) << sub.stdoutText;
+        EXPECT_NE(sub.stdoutText.find("scsim_cli run  --app"),
+                  std::string::npos);
+    }
+}
+
 } // namespace
 } // namespace scsim::runner

@@ -47,15 +47,22 @@ PrintTo(const DesignPoint &p, std::ostream *os)
 class DesignInvariants : public ::testing::TestWithParam<DesignPoint>
 {};
 
-TEST_P(DesignInvariants, AccountingHolds)
+GpuConfig
+configOf(const DesignPoint &p)
 {
-    DesignPoint p = GetParam();
     GpuConfig cfg = volta(2);
     cfg.scheduler = p.sched;
     cfg.assign = p.assign;
     cfg.subCores = p.subCores;
     cfg.bankStealing = p.bankStealing;
     cfg.idealWarpMigration = p.migration && p.subCores > 1;
+    return cfg;
+}
+
+TEST_P(DesignInvariants, AccountingHolds)
+{
+    DesignPoint p = GetParam();
+    GpuConfig cfg = configOf(p);
 
     Application app = buildApp(findApp("rod-kmeans", 0.08));
     SimStats s = simulate(cfg, app);
@@ -75,6 +82,33 @@ TEST_P(DesignInvariants, AccountingHolds)
     // exceed 3 per instruction, writes never exceed 1.
     EXPECT_LE(s.rfReads, s.instructions * 3 * kWarpSize);
     EXPECT_LE(s.rfWrites, s.instructions * kWarpSize);
+}
+
+/**
+ * Property: with one issue slot per scheduler, every scheduler-cycle
+ * the issue loop runs (idle or not, awake or asleep) either issues or
+ * records exactly one stall reason.  Bank stealing may place one more
+ * instruction per scheduler-cycle beside the slot, so there the sum
+ * exceeds the cycles by the stolen issues, at most one each.
+ */
+TEST_P(DesignInvariants, StallCountersCoverEverySchedulerCycle)
+{
+    DesignPoint p = GetParam();
+    GpuConfig cfg = configOf(p);
+    ASSERT_EQ(cfg.issueWidthPerScheduler, 1);
+
+    for (const char *name : { "rod-kmeans", "tpcU-q8" }) {
+        SimStats s = simulate(cfg, buildApp(findApp(name, 0.08)));
+        std::uint64_t accounted = s.issueSlotsUsed + s.stallNoCu
+            + s.stallScoreboard + s.stallNoWarp;
+        EXPECT_GT(s.stallScoreboard + s.stallNoWarp, 0u) << name;
+        if (p.bankStealing) {
+            EXPECT_GE(accounted, s.schedCycles) << name;
+            EXPECT_LE(accounted, 2 * s.schedCycles) << name;
+        } else {
+            EXPECT_EQ(accounted, s.schedCycles) << name;
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

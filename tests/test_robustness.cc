@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -58,6 +59,17 @@ oversizedApp(const std::string &name, int blocks = 4)
     app.regsPerThread = 256;
     app.warpsPerBlock = 16;
     return app;
+}
+
+/** Sweep options with @p jobs workers and @p cacheDir, every other
+ *  field at its default. */
+SweepOptions
+sweepOpts(int jobs, std::string cacheDir = "")
+{
+    SweepOptions opts;
+    opts.jobs = jobs;
+    opts.cacheDir = std::move(cacheDir);
+    return opts;
 }
 
 std::string
@@ -176,7 +188,7 @@ TEST_F(RobustnessTest, CorruptEntryIsQuarantinedAndRerun)
     SweepSpec spec;
     spec.add("only", tinyCfg(), tinyApp("solo"));
 
-    SweepEngine first{ SweepOptions{ .jobs = 1, .cacheDir = dir } };
+    SweepEngine first{ sweepOpts(1, dir) };
     SweepResult cold = first.run(spec);
     ASSERT_TRUE(cold.allOk());
 
@@ -191,7 +203,7 @@ TEST_F(RobustnessTest, CorruptEntryIsQuarantinedAndRerun)
         out << text;
     }
 
-    SweepEngine second{ SweepOptions{ .jobs = 1, .cacheDir = dir } };
+    SweepEngine second{ sweepOpts(1, dir) };
     SweepResult warm = second.run(spec);
     EXPECT_TRUE(warm.allOk());
     EXPECT_EQ(warm.cacheHits, 0u);      // corrupt entry did not hit
@@ -232,13 +244,13 @@ TEST_F(RobustnessTest, SweepRetriesTransientCacheWrite)
     // First disk write fails once; the engine's bounded backoff must
     // retry and land the entry.
     FaultInjector::instance().armCacheWriteFaults(1);
-    SweepEngine engine{ SweepOptions{ .jobs = 1, .cacheDir = dir } };
+    SweepEngine engine{ sweepOpts(1, dir) };
     SweepResult res = engine.run(spec);
     EXPECT_TRUE(res.allOk());
     EXPECT_GE(FaultInjector::instance().cacheWriteAttempts(), 2u);
 
     FaultInjector::instance().reset();
-    SweepEngine warm{ SweepOptions{ .jobs = 1, .cacheDir = dir } };
+    SweepEngine warm{ sweepOpts(1, dir) };
     EXPECT_EQ(warm.run(spec).cacheHits, 1u);
     std::filesystem::remove_all(dir);
 }
@@ -253,7 +265,7 @@ TEST_F(RobustnessTest, SweepSurvivesPersistentCacheFailure)
     // to a failed job.
     FaultInjector::instance().armCacheWriteFaults(1, 1u << 20);
     FaultInjector::instance().armCacheReadFaults(1, 1u << 20);
-    SweepEngine engine{ SweepOptions{ .jobs = 1, .cacheDir = dir } };
+    SweepEngine engine{ sweepOpts(1, dir) };
     SweepResult res = engine.run(spec);
     EXPECT_TRUE(res.allOk());
     EXPECT_EQ(res.executed, 1u);
@@ -339,11 +351,11 @@ TEST_F(RobustnessTest, SweepContainsHangAndErrorJobs)
         }
     };
 
-    SweepEngine serial{ SweepOptions{ .jobs = 1, .cacheDir = "" } };
+    SweepEngine serial{ sweepOpts(1) };
     SweepResult r1 = serial.run(spec);
     check(r1);
 
-    SweepEngine parallel{ SweepOptions{ .jobs = 8, .cacheDir = "" } };
+    SweepEngine parallel{ sweepOpts(8) };
     SweepResult r8 = parallel.run(spec);
     check(r8);
 
@@ -365,7 +377,7 @@ TEST_F(RobustnessTest, FailFastSkipsRemainingJobs)
     for (const char *name : { "appA", "appB", "appC" })
         spec.add(name, tinyCfg(), tinyApp(name));
 
-    SweepOptions opts{ .jobs = 1 };
+    SweepOptions opts = sweepOpts(1);
     opts.failFast = true;
     SweepEngine engine{ opts };
     SweepResult res = engine.run(spec);
@@ -388,7 +400,7 @@ TEST_F(RobustnessTest, MaxFailuresBoundsTheDamage)
     spec.add("bad2", tinyCfg(), oversizedApp("bad2", 63));
     spec.add("good", tinyCfg(), tinyApp("good"));
 
-    SweepOptions opts{ .jobs = 1 };
+    SweepOptions opts = sweepOpts(1);
     opts.maxFailures = 2;
     SweepEngine engine{ opts };
     SweepResult res = engine.run(spec);

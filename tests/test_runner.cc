@@ -12,6 +12,7 @@
 #include <atomic>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -67,6 +68,17 @@ tinySpec()
 }
 
 /** Fresh empty directory under the gtest temp root. */
+/** Sweep options with @p jobs workers and @p cacheDir, every other
+ *  field at its default. */
+SweepOptions
+sweepOpts(int jobs, std::string cacheDir = "")
+{
+    SweepOptions opts;
+    opts.jobs = jobs;
+    opts.cacheDir = std::move(cacheDir);
+    return opts;
+}
+
 std::string
 freshDir(const std::string &leaf)
 {
@@ -197,10 +209,10 @@ TEST(SweepEngine, ThreadCountInvariance)
 {
     SweepSpec spec = tinySpec();
 
-    SweepEngine serial{ SweepOptions{ .jobs = 1, .cacheDir = "" } };
+    SweepEngine serial{ sweepOpts(1) };
     SweepResult r1 = serial.run(spec);
 
-    SweepEngine parallel{ SweepOptions{ .jobs = 8, .cacheDir = "" } };
+    SweepEngine parallel{ sweepOpts(8) };
     SweepResult r8 = parallel.run(spec);
 
     ASSERT_EQ(r1.results.size(), r8.results.size());
@@ -222,12 +234,12 @@ TEST(SweepEngine, CacheHitsOnRerun)
     std::string dir = freshDir("cache_rerun");
     SweepSpec spec = tinySpec();
 
-    SweepEngine first{ SweepOptions{ .jobs = 4, .cacheDir = dir } };
+    SweepEngine first{ sweepOpts(4, dir) };
     SweepResult cold = first.run(spec);
     EXPECT_EQ(cold.executed, spec.jobs.size());
     EXPECT_EQ(cold.cacheHits, 0u);
 
-    SweepEngine second{ SweepOptions{ .jobs = 4, .cacheDir = dir } };
+    SweepEngine second{ sweepOpts(4, dir) };
     SweepResult warm = second.run(spec);
     EXPECT_EQ(warm.executed, 0u);
     EXPECT_EQ(warm.cacheHits, spec.jobs.size());
@@ -242,20 +254,20 @@ TEST(SweepEngine, ConfigChangeInvalidatesCache)
     std::string dir = freshDir("cache_invalidate");
     SweepSpec spec = tinySpec();
 
-    SweepEngine first{ SweepOptions{ .jobs = 4, .cacheDir = dir } };
+    SweepEngine first{ sweepOpts(4, dir) };
     first.run(spec);
 
     // An SM-count change must miss on every point...
     SweepSpec bigger = spec;
     for (SimJob &job : bigger.jobs)
         job.cfg.numSms = 4;
-    SweepEngine second{ SweepOptions{ .jobs = 4, .cacheDir = dir } };
+    SweepEngine second{ sweepOpts(4, dir) };
     SweepResult r = second.run(bigger);
     EXPECT_EQ(r.cacheHits, 0u);
     EXPECT_EQ(r.executed, bigger.jobs.size());
 
     // ...while the unchanged spec still hits everything.
-    SweepEngine third{ SweepOptions{ .jobs = 4, .cacheDir = dir } };
+    SweepEngine third{ sweepOpts(4, dir) };
     EXPECT_EQ(third.run(spec).cacheHits, spec.jobs.size());
     std::filesystem::remove_all(dir);
 }
@@ -264,13 +276,13 @@ TEST(SweepEngine, SaltInvalidatesCache)
 {
     std::string dir = freshDir("cache_salt");
     SweepSpec spec = tinySpec();
-    SweepEngine first{ SweepOptions{ .jobs = 2, .cacheDir = dir } };
+    SweepEngine first{ sweepOpts(2, dir) };
     first.run(spec);
 
     SweepSpec salted = spec;
     for (SimJob &job : salted.jobs)
         job.salt = 99;
-    SweepEngine second{ SweepOptions{ .jobs = 2, .cacheDir = dir } };
+    SweepEngine second{ sweepOpts(2, dir) };
     EXPECT_EQ(second.run(salted).cacheHits, 0u);
     std::filesystem::remove_all(dir);
 }
@@ -279,7 +291,7 @@ TEST(SweepEngine, ByTagLookup)
 {
     SweepSpec spec;
     spec.add("only", tinyCfg(), tinyApp("solo"));
-    SweepEngine engine{ SweepOptions{ .jobs = 1, .cacheDir = "" } };
+    SweepEngine engine{ sweepOpts(1) };
     SweepResult r = engine.run(spec);
     EXPECT_GT(r.cycles("only"), 0u);
     EXPECT_EQ(&r.stats("only"), &r.results[0].stats);
@@ -290,7 +302,7 @@ TEST(SweepEngine, DuplicateTagFailsBeforeAnyJobRuns)
     SweepSpec spec;
     spec.add("dup", tinyCfg(), tinyApp("a"));
     spec.add("dup", tinyCfg(), tinyApp("b"));
-    SweepEngine engine{ SweepOptions{ .jobs = 1, .cacheDir = "" } };
+    SweepEngine engine{ sweepOpts(1) };
     // The message names the offending tag and app.
     EXPECT_THROW_WITH(engine.run(spec), ConfigError,
                       "duplicate sweep tag 'dup' (app 'b')");
@@ -303,7 +315,7 @@ TEST(SweepEngine, InvalidConfigReportsTagAndAppUpfront)
     GpuConfig bad = tinyCfg();
     bad.rfBanksPerSm = 6;   // not divisible by 4 sub-cores
     spec.add("broken", bad, tinyApp("b"));
-    SweepEngine engine{ SweepOptions{ .jobs = 1, .cacheDir = "" } };
+    SweepEngine engine{ sweepOpts(1) };
     EXPECT_THROW_WITH(engine.run(spec), ConfigError,
                       "job 'broken' (app 'b')");
     EXPECT_THROW_WITH(engine.run(spec), ConfigError,

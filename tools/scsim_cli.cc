@@ -2,42 +2,10 @@
  * @file
  * Command-line driver for SubCoreSim.
  *
- *   scsim_cli run  --app tpcU-q8 [--scale 0.5] [--sms 8]
- *                  [--set scheduler=RBA] [--set assign=SRR]
- *                  [--config file.cfg] [--concurrent] [--salt N]
- *   scsim_cli run  --trace app.sctrace [...]
- *   scsim_cli run  --micro fma-unbalanced | imbalance:8 | conflict:3
- *                  | hang | crash | crash:abort
- *   scsim_cli sweep [--suite tpch-c | --apps a,b | --subset sensitive]
- *                  [--designs RBA,SRR,ShuffleRBA | --designs all]
- *                  [--jobs N] [--cache-dir DIR] [--out results.json]
- *                  [--csv results.csv] [--scale 0.5] [--sms 8]
- *                  [--set key=value] [--salt N] [--concurrent] [--quiet]
- *                  [--fail-fast] [--max-failures N]
- *                  [--isolate] [--timeout SECONDS] [--retries N]
- *                  [--journal FILE] [--resume FILE]
- *                  [--checkpoint-cycles N --state-dir DIR]
- *   scsim_cli run-job [--checkpoint-cycles N --state-dir DIR]
- *                  (internal: one isolated sweep job; reads an
- *                  scsim-job record on stdin, writes an scsim-jobres
- *                  record on stdout; resumes from DIR/<key>.snap)
- *   scsim_cli serve [--socket /path.sock] [--port N|0] [--workers N]
- *                  [--cache-dir DIR] [--cache-max-bytes N]
- *                  [--state-dir DIR] [--timeout SECONDS] [--retries N]
- *                  [--checkpoint-cycles N]
- *                  [--quiet]    (sweep farm daemon; 0 = ephemeral port)
- *   scsim_cli checkpoint --file SNAP [--verify | --restore]
- *                  (offline snapshot inspection / manual resume)
- *   scsim_cli submit [--socket /path.sock | --port N] [--name LABEL]
- *                  [--detach] [--resume] [sweep selection options]
- *                  [--out results.json] [--csv results.csv] [--quiet]
- *   scsim_cli status [--socket /path.sock | --port N] [--json]
- *   scsim_cli version            (build + wire protocol versions)
- *   scsim_cli list [--suite parboil]
- *   scsim_cli list-designs       (design points + config overlays)
- *   scsim_cli list-policies      (scheduler / assignment registries)
- *   scsim_cli dump --app cg-lou --out cg-lou.sctrace [--scale 0.5]
- *   scsim_cli info [--set key=value ...]
+ *   scsim_cli <command> [options]
+ *
+ * The commands and their options are listed in kUsage below, which
+ * `scsim_cli --help` (or `scsim_cli <command> --help`) prints.
  *
  * Exit code 0 on success; configuration or workload errors print
  * `fatal: ...` on stderr and exit 1.  A sweep contains per-job
@@ -92,6 +60,53 @@ using namespace scsim;
 
 namespace {
 
+const char kUsage[] =
+    "usage: scsim_cli <command> [options]\n"
+    "  scsim_cli run  --app tpcU-q8 [--scale 0.5] [--sms 8]\n"
+    "                 [--set scheduler=RBA] [--set assign=SRR]\n"
+    "                 [--config file.cfg] [--concurrent] [--salt N]\n"
+    "  scsim_cli run  --trace app.sctrace [...]\n"
+    "  scsim_cli run  --micro fma-unbalanced | imbalance:8 | conflict:3\n"
+    "                 | hang | crash | crash:abort\n"
+    "  scsim_cli sweep [--suite tpch-c | --apps a,b | --subset sensitive]\n"
+    "                 [--designs RBA,SRR,ShuffleRBA | --designs all]\n"
+    "                 [--jobs N] [--cache-dir DIR] [--out results.json]\n"
+    "                 [--csv results.csv] [--scale 0.5] [--sms 8]\n"
+    "                 [--set key=value] [--salt N] [--concurrent] [--quiet]\n"
+    "                 [--fail-fast] [--max-failures N]\n"
+    "                 [--isolate] [--timeout SECONDS] [--retries N]\n"
+    "                 [--journal FILE] [--resume FILE]\n"
+    "                 [--checkpoint-cycles N --state-dir DIR]\n"
+    "  scsim_cli run-job [--checkpoint-cycles N --state-dir DIR]\n"
+    "                 (internal: one isolated sweep job; reads an\n"
+    "                 scsim-job record on stdin, writes an scsim-jobres\n"
+    "                 record on stdout; resumes from DIR/<key>.snap)\n"
+    "  scsim_cli serve [--socket /path.sock] [--port N|0] [--workers N]\n"
+    "                 [--cache-dir DIR] [--cache-max-bytes N]\n"
+    "                 [--state-dir DIR] [--timeout SECONDS] [--retries N]\n"
+    "                 [--checkpoint-cycles N]\n"
+    "                 [--quiet]    (sweep farm daemon; 0 = ephemeral port)\n"
+    "  scsim_cli checkpoint --file SNAP [--verify | --restore]\n"
+    "                 (offline snapshot inspection / manual resume)\n"
+    "  scsim_cli submit [--socket /path.sock | --port N] [--name LABEL]\n"
+    "                 [--detach] [--resume] [sweep selection options]\n"
+    "                 [--out results.json] [--csv results.csv] [--quiet]\n"
+    "  scsim_cli status [--socket /path.sock | --port N] [--json]\n"
+    "  scsim_cli version            (build + wire protocol versions)\n"
+    "  scsim_cli list [--suite parboil]\n"
+    "  scsim_cli list-designs       (design points + config overlays)\n"
+    "  scsim_cli list-policies      (scheduler / assignment registries)\n"
+    "  scsim_cli dump --app cg-lou --out cg-lou.sctrace [--scale 0.5]\n"
+    "  scsim_cli info [--set key=value ...]\n";
+
+/** `--help`, as the command or as any flag: usage on stdout, exit 0. */
+[[noreturn]] void
+printUsageAndExit()
+{
+    std::fputs(kUsage, stdout);
+    std::exit(0);
+}
+
 struct Args
 {
     std::string command;
@@ -131,11 +146,15 @@ parseArgs(int argc, char **argv)
             "drain|checkpoint|version|list|list-designs|list-policies|"
             "dump|info> [options]");
     args.command = argv[1];
+    if (args.command == "--help")
+        printUsageAndExit();
     for (int i = 2; i < argc; ++i) {
         std::string flag = argv[i];
         if (flag.rfind("--", 0) != 0)
             scsim_fatal("unexpected argument '%s'", flag.c_str());
         flag.erase(0, 2);
+        if (flag == "help")
+            printUsageAndExit();
         if (isBooleanFlag(args.command, flag)) {
             args.options[flag] = "1";
             continue;
